@@ -9,14 +9,23 @@ conclusion does not fail on discretization noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .fields import ScalarField
 from .grids import Grid
 from .reports import CheckReport, FAIL, INCONCLUSIVE, PASS
-from .solver import Boundary, NEG_INF, POS_INF, ValueSurface
-from .problems import Orientation
+from .simulate import LsmcValue, comparison_report
+from .solver import (
+    NEG_INF,
+    POS_INF,
+    Boundary,
+    ValueSurface,
+    residual_complementarity,
+    value_at,
+)
+from .problems import Orientation, ValidatedProblem, sample_rows
 
 TOL_ZERO = 1e-12  # strictness threshold defining the negative-drift region
 
@@ -34,16 +43,7 @@ def _mono_tol(values: np.ndarray, field: ScalarField | None = None) -> float:
     return rel * (1.0 + float(np.max(np.abs(values))))
 
 
-def _field_rows(field: ScalarField, grid: Grid) -> np.ndarray:
-    if field.time_independent:
-        row = field.row(grid.t_nodes[0], grid.x_nodes)
-        return np.tile(row, (len(grid.t_nodes), 1))
-    return np.stack([field.row(t, grid.x_nodes) for t in grid.t_nodes])
-
-
-def check_reward_monotone_in_state(g: ScalarField, grid: Grid) -> CheckReport:
-    """Is the reward nondecreasing in the state at every probed time?"""
-    rows = _field_rows(g, grid)
+def _reward_x_monotone(rows: np.ndarray, grid: Grid, g: ScalarField) -> CheckReport:
     tol = _mono_tol(rows, g)
     drops = rows[:, :-1] - rows[:, 1:]  # positive where the reward decreases
     worst = float(np.max(drops))
@@ -56,19 +56,15 @@ def check_reward_monotone_in_state(g: ScalarField, grid: Grid) -> CheckReport:
                        f"reward decreases between x={grid.x_nodes[j]} and x={grid.x_nodes[j + 1]}")
 
 
-def check_drift_time_monotone(mu: ScalarField, grid: Grid,
-                              scope: str = EVERYWHERE,
-                              tol_zero: float = TOL_ZERO) -> CheckReport:
-    """Is the drift nonincreasing in time, everywhere or on its negative region?
+def check_reward_monotone_in_state(g: ScalarField, grid: Grid) -> CheckReport:
+    """Is the reward nondecreasing in the state at every probed time?"""
+    return _reward_x_monotone(sample_rows(g, grid), grid, g)
 
-    In the region scope a pair (t_k, t_{k+1}) at fixed x counts only when the
-    later point has strictly negative drift, matching a hypothesis quantified
-    over the negative-drift region; the check is consecutive-pair, hence at
-    grid scale only.
-    """
+
+def _drift_t_monotone(rows: np.ndarray, grid: Grid, mu: ScalarField, scope: str,
+                      tol_zero: float = TOL_ZERO) -> CheckReport:
     if scope not in (EVERYWHERE, WHERE_DRIFT_NEGATIVE):
         raise ValueError(f"unknown scope {scope!r}")
-    rows = np.stack([mu.row(t, grid.x_nodes) for t in grid.t_nodes])
     tol = _mono_tol(rows, mu)
     rises = rows[1:, :] - rows[:-1, :]  # positive where drift increases with t
     if scope == WHERE_DRIFT_NEGATIVE:
@@ -88,10 +84,22 @@ def check_drift_time_monotone(mu: ScalarField, grid: Grid,
                        f"drift increases between t={grid.t_nodes[k]} and t={grid.t_nodes[k + 1]}")
 
 
-def check_running_reward_monotone(h: ScalarField, grid: Grid) -> CheckReport:
-    """Nondecreasing in x and nonincreasing in t, as two sub-verdicts."""
-    x_part = check_reward_monotone_in_state(h, grid)
-    t_part = check_drift_time_monotone(h, grid, scope=EVERYWHERE)
+def check_drift_time_monotone(mu: ScalarField, grid: Grid,
+                              scope: str = EVERYWHERE,
+                              tol_zero: float = TOL_ZERO) -> CheckReport:
+    """Is the drift nonincreasing in time, everywhere or on its negative region?
+
+    In the region scope a pair (t_k, t_{k+1}) at fixed x counts only when the
+    later point has strictly negative drift, matching a hypothesis quantified
+    over the negative-drift region; the check is consecutive-pair, hence at
+    grid scale only.
+    """
+    return _drift_t_monotone(sample_rows(mu, grid), grid, mu, scope, tol_zero)
+
+
+def _running_monotone(rows: np.ndarray, grid: Grid, h: ScalarField) -> CheckReport:
+    x_part = _reward_x_monotone(rows, grid, h)
+    t_part = _drift_t_monotone(rows, grid, h, EVERYWHERE)
     both_ok = x_part.verdict == PASS and t_part.verdict == PASS
     if x_part.worst_violation >= t_part.worst_violation:
         worst, witness, tol = x_part.worst_violation, x_part.witness, x_part.tolerance
@@ -105,6 +113,11 @@ def check_running_reward_monotone(h: ScalarField, grid: Grid) -> CheckReport:
         tol,
         f"x-monotone: {x_part.verdict}, t-monotone: {t_part.verdict}",
     )
+
+
+def check_running_reward_monotone(h: ScalarField, grid: Grid) -> CheckReport:
+    """Nondecreasing in x and nonincreasing in t, as two sub-verdicts."""
+    return _running_monotone(sample_rows(h, grid), grid, h)
 
 
 @dataclass(frozen=True)
@@ -121,12 +134,8 @@ class RegionMasks:
     nonnegative_drift: np.ndarray
 
 
-def classify_regions(surface: ValueSurface, drift: ScalarField | None = None,
-                     tol_zero: float = TOL_ZERO) -> RegionMasks:
-    if drift is None:
-        drift = surface.problem.spec.drift
-    grid = surface.grid
-    mu = np.stack([drift.row(t, grid.x_nodes) for t in grid.t_nodes])
+def classify_regions(surface: ValueSurface, tol_zero: float = TOL_ZERO) -> RegionMasks:
+    mu = surface.problem.samples_on(surface.grid).mu
     negative = mu < -tol_zero
     stopping = surface.exercise_mask
     return RegionMasks(
@@ -149,9 +158,7 @@ def _near_mask_transition(mask: np.ndarray) -> np.ndarray:
     return near
 
 
-def check_drift_curvature_balance(surface: ValueSurface,
-                                  drift: ScalarField | None = None,
-                                  diffusion: ScalarField | None = None) -> CheckReport:
+def check_drift_curvature_balance(surface: ValueSurface) -> CheckReport:
     """On continuation nodes with nonnegative drift, does
     sigma^2 * v_xx + 2 * mu * v_x stay nonnegative?
 
@@ -160,17 +167,13 @@ def check_drift_curvature_balance(surface: ValueSurface,
     discrete second derivative there.  Convexity of the value in x makes the
     condition automatic wherever the value is also nondecreasing in x.
     """
-    spec = surface.problem.spec
-    if drift is None:
-        drift = spec.drift
-    if diffusion is None:
-        diffusion = spec.diffusion
     grid = surface.grid
     xs = grid.x_nodes
     dx = grid.dx
     v = surface.v
+    disc = surface.problem.samples_on(grid)
 
-    masks = classify_regions(surface, drift)
+    masks = classify_regions(surface)
     eligible = masks.continuation & masks.nonnegative_drift
     eligible &= ~_near_mask_transition(surface.exercise_mask)
     eligible[:, 0] = eligible[:, -1] = False  # need both x-neighbours
@@ -178,15 +181,14 @@ def check_drift_curvature_balance(surface: ValueSurface,
         return CheckReport("drift_curvature_balance", INCONCLUSIVE, 0.0, None, 0.0,
                            "no continuation nodes with nonnegative drift to probe")
 
-    sig = diffusion.row(0.0, xs)
-    sig2 = sig * sig
+    sig2 = disc.sigma * disc.sigma
     vx = np.empty_like(v)
     vxx = np.empty_like(v)
     vx[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * dx)
     vxx[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (dx * dx)
     vx[:, 0] = vx[:, -1] = 0.0
     vxx[:, 0] = vxx[:, -1] = 0.0
-    mu = np.stack([drift.row(t, xs) for t in grid.t_nodes])
+    mu = disc.mu
     quantity = sig2 * vxx + 2.0 * mu * vx
 
     scale = max(
@@ -218,8 +220,7 @@ def _edge_band_columns(surface: ValueSurface) -> int:
     """
     grid = surface.grid
     xs = grid.x_nodes
-    mid = xs[len(xs) // 4: 3 * len(xs) // 4]
-    sig = surface.problem.spec.diffusion.row(0.0, mid)
+    sig = surface.problem.samples_on(grid).sigma[len(xs) // 4: 3 * len(xs) // 4]
     scale = float(np.max(np.abs(sig))) * np.sqrt(max(grid.horizon_end, grid.dt))
     cols = int(np.ceil(EDGE_BAND_SCALES * scale / grid.dx))
     return min(max(cols, 1), max(1, grid.nx // 5))
@@ -316,9 +317,7 @@ def check_value_continuity(surface: ValueSurface) -> CheckReport:
     # a time jump is only suspicious beyond what local transport moves in one
     # step; near a drift pole the per-step displacement spans many cells
     if v.shape[0] > 1:
-        xs_band = grid.x_nodes[cols]
-        mu = np.stack([surface.problem.spec.drift.row(t, xs_band)
-                       for t in grid.t_nodes[:-1]])
+        mu = surface.problem.samples_on(grid).mu[:-1, cols]
         courant = np.abs(mu) * grid.dt / grid.dx
         jump_t = float(np.max(np.abs(np.diff(surface.v[:, cols], axis=0)) / (1.0 + courant)))
     else:
@@ -333,3 +332,95 @@ def check_value_continuity(surface: ValueSurface) -> CheckReport:
     verdict = PASS if worst <= tol else FAIL
     return CheckReport("value_continuity", verdict, worst, None, tol,
                        f"max neighbour jump vs 50x the smooth-surface scale {tol:.3g}")
+
+
+# ---------------------------------------------------------------------------
+# registry: every check name, what it needs and the function to call
+
+FIELDS = "fields"          # the coefficient samples only; `stoplab check` runs these
+SURFACE = "surface"        # the solved surface and boundary
+SIMULATION = "simulation"  # the coupled bundles or the LSMC estimate
+
+
+@dataclass(frozen=True)
+class CheckInputs:
+    """What a registered check reads; a field-only run leaves the rest unset.
+
+    ``problem`` is in the original frame and sampled on the checked grid
+    (the surface grid when there is a surface); ``solve_surface`` is the
+    surface in the frame its discrete system was assembled in.
+    """
+
+    problem: ValidatedProblem
+    surface: Optional[ValueSurface] = None
+    boundary: Optional[Boundary] = None
+    solve_surface: Optional[ValueSurface] = None
+    couplings: tuple = ()          # CoupledBundle per configured coupling
+    c_ord: float = 1.0
+    lsmc: Optional[LsmcValue] = None
+    lsmc_point: Optional[tuple[float, float]] = None
+
+
+def _inconclusive(name: str, why: str) -> CheckReport:
+    return CheckReport(name, INCONCLUSIVE, 0.0, None, 0.0, why)
+
+
+def _running_reward_check(run: CheckInputs) -> CheckReport:
+    disc, h = run.problem.disc, run.problem.spec.running_reward
+    if h is None:
+        return _inconclusive("running_reward_monotone", "problem has no running reward")
+    return _running_monotone(disc.f, disc.grid, h)
+
+
+def _coupling_order(run: CheckInputs) -> CheckReport:
+    if not run.couplings:
+        return _inconclusive("coupling_order", "no couplings configured")
+    reports = [comparison_report(cb, c_ord=run.c_ord) for cb in run.couplings]
+    worst = max(reports, key=lambda r: r.worst_violation - r.tolerance)
+    verdict = PASS if all(r.verdict == PASS for r in reports) else FAIL
+    notes = "; ".join(
+        f"(u={cb.early.start_time}, t={cb.late.start_time}, x={cb.late.start_state}): "
+        f"{r.verdict} worst={r.worst_violation:.3g}"
+        for cb, r in zip(run.couplings, reports)
+    )
+    return CheckReport("coupling_order", verdict, worst.worst_violation,
+                       worst.witness, worst.tolerance, notes)
+
+
+def _lsmc_cross_check(run: CheckInputs) -> CheckReport:
+    if run.lsmc is None:
+        return _inconclusive("lsmc_cross_check", "lsmc not configured")
+    t0, x0 = run.lsmc_point
+    fd_value = value_at(run.surface, t0, x0)
+    gap = abs(fd_value - run.lsmc.estimate)
+    tol = max(3.0 * run.lsmc.standard_error, 5e-3)
+    return CheckReport(
+        "lsmc_cross_check",
+        PASS if gap <= tol else FAIL,
+        gap,
+        (t0, x0),
+        tol,
+        f"fd={fd_value:.6g}, lsmc={run.lsmc.estimate:.6g} "
+        f"(se={run.lsmc.standard_error:.2g})",
+    )
+
+
+# entries call by global name so that wrapping a check_* function reaches them
+CHECKS = {
+    "reward_x_monotone": (FIELDS, lambda run: _reward_x_monotone(
+        run.problem.disc.g, run.problem.disc.grid, run.problem.spec.terminal_reward)),
+    "drift_time_monotone_everywhere": (FIELDS, lambda run: _drift_t_monotone(
+        run.problem.disc.mu, run.problem.disc.grid, run.problem.spec.drift, EVERYWHERE)),
+    "drift_time_monotone_where_drift_negative": (FIELDS, lambda run: _drift_t_monotone(
+        run.problem.disc.mu, run.problem.disc.grid, run.problem.spec.drift,
+        WHERE_DRIFT_NEGATIVE)),
+    "drift_curvature_balance": (SURFACE, lambda run: check_drift_curvature_balance(run.surface)),
+    "running_reward_monotone": (FIELDS, _running_reward_check),
+    "value_time_monotone": (SURFACE, lambda run: check_value_time_monotone(run.surface)),
+    "boundary_monotone": (SURFACE, lambda run: check_boundary_monotone(run.boundary)),
+    # the discrete system was assembled in the solve frame
+    "residual_complementarity": (SURFACE, lambda run: residual_complementarity(run.solve_surface)),
+    "value_continuity": (SURFACE, lambda run: check_value_continuity(run.surface)),
+    "coupling_order": (SIMULATION, _coupling_order),
+    "lsmc_cross_check": (SIMULATION, _lsmc_cross_check),
+}

@@ -5,10 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import checks as checkmod
+from .checks import CHECKS, FIELDS, CheckInputs
 from .config import ConfigError, builtin_examples, load_config
 from .pipeline import StageError, build_problem, run_problem
-from .problems import ValidationError, validate_problem
+from .problems import ValidationError, reduce_to_running_reward, validate_problem
 from .solver import build_grid
 
 EXIT_OK = 0
@@ -55,16 +55,12 @@ def _cmd_examples(args) -> int:
     return _execute(gallery[args.name], out_dir=args.out, seed=args.seed)
 
 
-FIELD_CHECKS = (
-    "reward_x_monotone",
-    "drift_time_monotone_everywhere",
-    "drift_time_monotone_where_drift_negative",
-    "running_reward_monotone",
-)
-
-
 def _cmd_check(args) -> int:
-    """Hypothesis checks only: probe the coefficient fields without solving."""
+    """Hypothesis checks only: probe the coefficient fields without solving.
+
+    Runs the requested checks that need only the fields, or by default the
+    reward and everywhere drift checks; verdicts match those of ``solve``.
+    """
     try:
         cfg = load_config(args.config)
     except ConfigError as err:
@@ -72,30 +68,19 @@ def _cmd_check(args) -> int:
         return EXIT_ERROR
     try:
         spec = build_problem(cfg.problem)
+        if cfg.problem.reduce:
+            spec = reduce_to_running_reward(spec)
         grid = build_grid(spec, cfg.grid.x_pad, cfg.grid.nt, cfg.grid.nx,
                           x_ref=cfg.grid.x_ref)
-        validate_problem(spec, grid)
-        if cfg.problem.reduce:
-            from .problems import reduce_to_running_reward
-
-            spec = reduce_to_running_reward(spec)
+        problem = validate_problem(spec, grid)
     except (ValidationError, ValueError) as err:
         print(f"error in stage 'validate': {err}", file=sys.stderr)
         return EXIT_ERROR
 
-    wanted = [name for name in cfg.checks if name in FIELD_CHECKS] or list(FIELD_CHECKS[:2])
-    reports = []
-    for name in wanted:
-        if name == "reward_x_monotone":
-            reports.append(checkmod.check_reward_monotone_in_state(spec.terminal_reward, grid))
-        elif name == "drift_time_monotone_everywhere":
-            reports.append(checkmod.check_drift_time_monotone(spec.drift, grid,
-                                                              scope=checkmod.EVERYWHERE))
-        elif name == "drift_time_monotone_where_drift_negative":
-            reports.append(checkmod.check_drift_time_monotone(
-                spec.drift, grid, scope=checkmod.WHERE_DRIFT_NEGATIVE))
-        elif name == "running_reward_monotone" and spec.running_reward is not None:
-            reports.append(checkmod.check_running_reward_monotone(spec.running_reward, grid))
+    wanted = [name for name in cfg.checks if CHECKS[name][0] == FIELDS]
+    wanted = wanted or ["reward_x_monotone", "drift_time_monotone_everywhere"]
+    inputs = CheckInputs(problem=problem)
+    reports = [CHECKS[name][1](inputs) for name in wanted]
     _print_reports(reports)
     return EXIT_OK if all(r.ok for r in reports) else EXIT_CHECK_FAILED
 

@@ -14,20 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import exprs
-
-CHECK_NAMES = (
-    "reward_x_monotone",
-    "drift_time_monotone_everywhere",
-    "drift_time_monotone_where_drift_negative",
-    "drift_curvature_balance",
-    "running_reward_monotone",
-    "value_time_monotone",
-    "boundary_monotone",
-    "residual_complementarity",
-    "value_continuity",
-    "coupling_order",
-    "lsmc_cross_check",
-)
+from .checks import CHECKS
 
 DRIFT_FAMILIES = (
     "bm_time_drift",
@@ -367,8 +354,8 @@ def _parse_checks(items: dict) -> tuple[str, ...]:
     _reject_unknown(items, allowed, "checks")
     names = tuple(items.get("run", "").split())
     for name in names:
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"unknown check name {name!r}; known: {CHECK_NAMES}")
+        if name not in CHECKS:
+            raise ConfigError(f"unknown check name {name!r}; known: {tuple(CHECKS)}")
     return names
 
 

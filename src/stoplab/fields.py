@@ -31,7 +31,6 @@ class ScalarField:
     regularity_note: str = ""
     source: str = ""
     time_independent: bool = False
-    scalar_checked: Optional[Callable] = None  # scalar path with domain errors
 
     def __call__(self, t, x):
         return self.evaluator(t, x)
@@ -111,12 +110,8 @@ def from_expression(text: str, horizon: float, *, allow_t: bool = True,
     def evaluator(t, x):
         return compiled(t, x, T)
 
-    def checked(t, x):
-        return exprs.eval_expr(ast, t, x, T)
-
     return ScalarField(
         evaluator=evaluator,
         source=text,
         time_independent="t" not in names,
-        scalar_checked=checked,
     )

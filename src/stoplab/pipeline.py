@@ -3,7 +3,9 @@
 Upper-boundary problems are reflected for the solver (which extracts lower
 boundaries), then the surface and boundary are mapped back, so every check
 runs in the problem's original frame.  The reflected solve plus negated
-boundary is exactly the original upper boundary.
+boundary is exactly the original upper boundary.  The coefficients are
+sampled once per run, in the solve frame, by ``validate_problem``; the
+original-frame samples are those reflected, which is exact.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import checks as checkmod
 from . import filtering
+from .checks import CHECKS, CheckInputs
 from .config import ProblemConfig, RunConfig, save_config_text
 from .fields import from_expression
 from .problems import (
@@ -29,11 +31,11 @@ from .problems import (
     ValidatedProblem,
     flip_orientation,
     reduce_to_running_reward,
+    reference_state,
     validate_problem,
 )
-from .reports import CheckReport, FAIL, PASS
+from .reports import CheckReport
 from .simulate import (
-    comparison_report,
     everywhere_region,
     negative_drift_region,
     simulate_coupled,
@@ -49,6 +51,7 @@ from .solver import (
     solve_backward,
     unflip_boundary,
     unflip_surface,
+    value_at,
 )
 
 
@@ -121,21 +124,6 @@ def build_problem(cfg: ProblemConfig) -> ProblemSpec:
     )
 
 
-def value_at(surface: ValueSurface, t: float, x: float) -> float:
-    """Bilinear interpolation of the solved value at an off-grid point."""
-    ts, xs = surface.grid.t_nodes, surface.grid.x_nodes
-    k = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))
-    j = int(np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2))
-    wt = 0.0 if ts[k + 1] == ts[k] else (t - ts[k]) / (ts[k + 1] - ts[k])
-    wx = 0.0 if xs[j + 1] == xs[j] else (x - xs[j]) / (xs[j + 1] - xs[j])
-    wt, wx = float(np.clip(wt, 0, 1)), float(np.clip(wx, 0, 1))
-    v = surface.v
-    return float(
-        (1 - wt) * ((1 - wx) * v[k, j] + wx * v[k, j + 1])
-        + wt * ((1 - wx) * v[k + 1, j] + wx * v[k + 1, j + 1])
-    )
-
-
 def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
                 seed_override: Optional[int] = None) -> RunArtifacts:
     """Execute the full pipeline for one configuration.
@@ -145,7 +133,6 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
     requested check.
     """
     timings: dict[str, float] = {}
-    reports: list[CheckReport] = []
 
     def timed(stage):
         class _Timer:
@@ -170,11 +157,6 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
     with timed("build_problem"):
         original_spec = build_problem(cfg.problem)
 
-    with timed("validate"):
-        probe_grid = build_grid(original_spec, grid_cfg.x_pad, nt, nx, x_ref=grid_cfg.x_ref)
-        original = validate_problem(original_spec, probe_grid)
-        warnings = original.warnings
-
     flipped = original_spec.orientation is Orientation.UPPER
     with timed("prepare"):
         solve_spec = flip_orientation(original_spec) if flipped else original_spec
@@ -184,8 +166,9 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
             -grid_cfg.x_ref if flipped else grid_cfg.x_ref
         )
         solve_grid = build_grid(solve_spec, grid_cfg.x_pad, nt, nx, x_ref=solve_ref)
+
+    with timed("validate"):
         solve_problem = validate_problem(solve_spec, solve_grid)
-        warnings = warnings + tuple(w for w in solve_problem.warnings if w not in warnings)
 
     with timed("solve"):
         solve_surface = solve_backward(solve_problem, solve_grid, theta=grid_cfg.theta)
@@ -193,60 +176,53 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
 
     with timed("unflip"):
         if flipped:
-            check_problem_spec = original_spec
+            check_spec = original_spec
             if cfg.problem.reduce:
-                check_problem_spec = reduce_to_running_reward(original_spec)
-            check_problem = validate_problem(
-                check_problem_spec,
-                build_grid(check_problem_spec, grid_cfg.x_pad, nt, nx, x_ref=grid_cfg.x_ref),
-            )
-            surface = unflip_surface(solve_surface, check_problem)
+                check_spec = reduce_to_running_reward(original_spec)
+            surface = unflip_surface(solve_surface, check_spec)
             boundary = unflip_boundary(solve_boundary)
         else:
-            check_problem = solve_problem
             surface = solve_surface
             boundary = solve_boundary
+        check_problem = surface.problem
 
     couplings = []
     lsmc_result = None
     bundles = {}
+    x0 = None
     if sim_cfg is not None:
+        x0 = sim_cfg.lsmc_x if sim_cfg.lsmc_x is not None else \
+            reference_state(original_spec, grid_cfg.x_ref)
         with timed("simulate"):
             if sim_cfg.couplings:
                 region = (
                     everywhere_region()
                     if sim_cfg.region == "everywhere"
-                    else negative_drift_region(original.spec.drift)
+                    else negative_drift_region(check_problem.spec.drift)
                 )
                 for i, (u, t, x) in enumerate(sim_cfg.couplings):
-                    cb = simulate_coupled(original, t, u, x, region,
+                    cb = simulate_coupled(check_problem, t, u, x, region,
                                           sim_cfg.n_paths, sim_cfg.n_steps,
                                           sim_cfg.seed + i)
                     couplings.append(cb)
             if sim_cfg.dump_paths:
-                start_x = sim_cfg.lsmc_x
-                if start_x is None:
-                    start_x = grid_cfg.x_ref if grid_cfg.x_ref is not None else (
-                        1.0 if original_spec.state_space is StateSpace.POSITIVE_HALF_LINE else 0.0
-                    )
-                bundles["paths"] = simulate_paths(original, sim_cfg.lsmc_t, start_x,
+                bundles["paths"] = simulate_paths(check_problem, sim_cfg.lsmc_t, x0,
                                                   sim_cfg.n_paths, sim_cfg.n_steps,
                                                   sim_cfg.seed)
             if sim_cfg.lsmc:
-                x0 = sim_cfg.lsmc_x if sim_cfg.lsmc_x is not None else (
-                    grid_cfg.x_ref if grid_cfg.x_ref is not None else 0.0
-                )
                 solve_x0 = -x0 if flipped else x0
                 lsmc_result = value_lsmc(solve_problem, sim_cfg.lsmc_t, solve_x0,
                                          sim_cfg.n_paths, sim_cfg.n_steps,
                                          sim_cfg.lsmc_degree, sim_cfg.seed)
 
     with timed("checks"):
-        for name in cfg.checks:
-            reports.append(
-                _run_check(name, check_problem, surface, boundary, solve_surface,
-                           couplings, lsmc_result, sim_cfg, cfg)
-            )
+        inputs = CheckInputs(
+            problem=check_problem, surface=surface, boundary=boundary,
+            solve_surface=solve_surface, couplings=tuple(couplings),
+            c_ord=sim_cfg.c_ord if sim_cfg is not None else 1.0, lsmc=lsmc_result,
+            lsmc_point=None if sim_cfg is None else (sim_cfg.lsmc_t, x0),
+        )
+        reports = [CHECKS[name][1](inputs) for name in cfg.checks]
 
     run_id = hashlib.sha256(save_config_text(cfg).encode()).hexdigest()[:16]
     artifacts = RunArtifacts(
@@ -256,7 +232,7 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
         surface=surface,
         boundary=boundary,
         reports=reports,
-        warnings=warnings,
+        warnings=check_problem.warnings,
         timings=timings,
         lsmc=lsmc_result,
     )
@@ -266,74 +242,6 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
         with timed("export"):
             artifacts.files = export_artifacts(artifacts, directory, bundles)
     return artifacts
-
-
-def _run_check(name, problem, surface, boundary, solve_surface, couplings,
-               lsmc_result, sim_cfg, cfg) -> CheckReport:
-    spec = problem.spec
-    grid = surface.grid
-    if name == "reward_x_monotone":
-        return checkmod.check_reward_monotone_in_state(spec.terminal_reward, grid)
-    if name == "drift_time_monotone_everywhere":
-        return checkmod.check_drift_time_monotone(spec.drift, grid, scope=checkmod.EVERYWHERE)
-    if name == "drift_time_monotone_where_drift_negative":
-        return checkmod.check_drift_time_monotone(spec.drift, grid,
-                                                  scope=checkmod.WHERE_DRIFT_NEGATIVE)
-    if name == "drift_curvature_balance":
-        return checkmod.check_drift_curvature_balance(surface)
-    if name == "running_reward_monotone":
-        if spec.running_reward is None:
-            from .reports import INCONCLUSIVE
-
-            return CheckReport("running_reward_monotone", INCONCLUSIVE, 0.0, None, 0.0,
-                               "problem has no running reward")
-        return checkmod.check_running_reward_monotone(spec.running_reward, grid)
-    if name == "value_time_monotone":
-        return checkmod.check_value_time_monotone(surface)
-    if name == "boundary_monotone":
-        return checkmod.check_boundary_monotone(boundary)
-    if name == "residual_complementarity":
-        # the discrete system was assembled in the solve frame
-        return residual_complementarity(solve_surface)
-    if name == "value_continuity":
-        return checkmod.check_value_continuity(surface)
-    if name == "coupling_order":
-        if not couplings:
-            from .reports import INCONCLUSIVE
-
-            return CheckReport("coupling_order", INCONCLUSIVE, 0.0, None, 0.0,
-                               "no couplings configured")
-        reports = [comparison_report(cb, c_ord=sim_cfg.c_ord) for cb in couplings]
-        worst = max(reports, key=lambda r: r.worst_violation - r.tolerance)
-        verdict = PASS if all(r.verdict == PASS for r in reports) else FAIL
-        notes = "; ".join(
-            f"(u={u}, t={t}, x={x}): {r.verdict} worst={r.worst_violation:.3g}"
-            for (u, t, x), r in zip(sim_cfg.couplings, reports)
-        )
-        return CheckReport("coupling_order", verdict, worst.worst_violation,
-                           worst.witness, worst.tolerance, notes)
-    if name == "lsmc_cross_check":
-        if lsmc_result is None:
-            from .reports import INCONCLUSIVE
-
-            return CheckReport("lsmc_cross_check", INCONCLUSIVE, 0.0, None, 0.0,
-                               "lsmc not configured")
-        x0 = sim_cfg.lsmc_x if sim_cfg.lsmc_x is not None else (
-            cfg.grid.x_ref if cfg.grid.x_ref is not None else 0.0
-        )
-        fd_value = value_at(surface, sim_cfg.lsmc_t, x0)
-        gap = abs(fd_value - lsmc_result.estimate)
-        tol = max(3.0 * lsmc_result.standard_error, 5e-3)
-        return CheckReport(
-            "lsmc_cross_check",
-            PASS if gap <= tol else FAIL,
-            gap,
-            (sim_cfg.lsmc_t, x0),
-            tol,
-            f"fd={fd_value:.6g}, lsmc={lsmc_result.estimate:.6g} "
-            f"(se={lsmc_result.standard_error:.2g})",
-        )
-    raise ValueError(f"unknown check name {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ class ProblemSpec:
     The diffusion coefficient must depend on x only (its evaluator ignores
     t by contract).  ``pole_at_horizon`` marks drifts that blow up as
     t approaches the horizon, e.g. bridge pulls; grids and simulations then
-    stop a small offset before the horizon.
+    stop a small offset before the horizon.  ``reflected`` marks a spec made
+    by ``flip_orientation``, whose x axis is the user's axis negated.
     """
 
     drift: ScalarField
@@ -52,6 +53,7 @@ class ProblemSpec:
     state_space: StateSpace = StateSpace.REAL_LINE
     orientation: Orientation = Orientation.LOWER
     pole_at_horizon: bool = False
+    reflected: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.horizon) and self.horizon > 0):
@@ -59,57 +61,99 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
+class Discretization:
+    """The coefficient fields sampled once on one grid.
+
+    ``mu``, ``g`` and ``f`` hold one row per time node (``f`` is None when
+    there is no running reward); ``sigma`` is one row, the diffusion being
+    t-free.  A time-independent field is a single row broadcast over t.
+    The solver, the residual check and the checkers all read these arrays.
+    """
+
+    grid: Grid
+    mu: np.ndarray
+    sigma: np.ndarray
+    g: np.ndarray
+    f: Optional[np.ndarray]
+
+
+@dataclass(frozen=True)
 class ValidatedProblem:
-    """A problem spec plus sampled regularity diagnostics."""
+    """A problem spec, its grid samples and sampled regularity diagnostics."""
 
     spec: ProblemSpec
     lipschitz_estimate: float
     warnings: tuple[str, ...]
+    disc: Discretization
+
+    def samples_on(self, grid: Grid) -> Discretization:
+        """The validated samples, or a fresh sampling when ``grid`` is another grid."""
+        return self.disc if grid is self.disc.grid else discretize(self.spec, grid)
 
 
-def _first_bad_point(values: np.ndarray, ts: np.ndarray, xs: np.ndarray):
-    bad = ~np.isfinite(values)
-    k, j = np.argwhere(bad)[0]
-    return float(ts[k]), float(xs[j])
+def sample_rows(field: ScalarField, grid: Grid) -> np.ndarray:
+    """The field on every (t, x) node of the grid, one row per time node."""
+    ts, xs = grid.t_nodes, grid.x_nodes
+    if field.time_independent:
+        return np.broadcast_to(field.row(ts[0], xs), (len(ts), len(xs)))
+    out = np.empty((len(ts), len(xs)))
+    for k, t in enumerate(ts):
+        out[k] = field.row(t, xs)
+    return out
+
+
+def discretize(spec: ProblemSpec, grid: Grid) -> Discretization:
+    """Sample mu, sigma, g and f on the grid, for the solver and the checks alike.
+
+    Non-finite values and a negative diffusion are hard errors naming the
+    first bad node in the user's frame: x is negated for a reflected spec.
+    """
+    ts, xs = grid.t_nodes, grid.x_nodes
+
+    def reject(name, bad, what="not finite"):
+        if bad.any():
+            idx = np.argwhere(bad)[0]
+            x = float(-xs[idx[-1]] if spec.reflected else xs[idx[-1]])
+            where = f"(t={float(ts[idx[0]])}, x={x})" if bad.ndim == 2 else f"x={x}"
+            raise ValidationError(f"{name} is {what} at probe point {where}")
+
+    mu = sample_rows(spec.drift, grid)
+    reject("drift", ~np.isfinite(mu))
+    sigma = spec.diffusion.row(0.0, xs)
+    reject("diffusion", ~np.isfinite(sigma))
+    reject("diffusion", sigma < 0, "negative")
+    g = sample_rows(spec.terminal_reward, grid)
+    reject("terminal reward", ~np.isfinite(g))
+    f = None
+    if spec.running_reward is not None:
+        f = sample_rows(spec.running_reward, grid)
+        reject("running reward", ~np.isfinite(f))
+    return Discretization(grid=grid, mu=mu, sigma=sigma, g=g, f=f)
+
+
+def reference_state(spec: ProblemSpec, x_ref: Optional[float] = None) -> float:
+    """``x_ref`` when given, else 1.0 on the positive half line and 0.0 on the real line."""
+    if x_ref is not None:
+        return x_ref
+    return 1.0 if spec.state_space is StateSpace.POSITIVE_HALF_LINE else 0.0
 
 
 def validate_problem(spec: ProblemSpec, probe_grid: Grid) -> ValidatedProblem:
-    """Probe the coefficient fields on a grid and estimate drift regularity.
+    """Sample the coefficient fields on a grid and estimate drift regularity.
 
+    The samples (see ``discretize``) are kept for the solver and the checks.
     Returns a sampled Lipschitz estimate for x -> drift(t, x) (the sup over
     consecutive probe pairs of |difference| / dx) and accumulates warnings;
     non-finite evaluations and a negative diffusion are hard errors.
     """
-    ts, xs = probe_grid.t_nodes, probe_grid.x_nodes
+    disc = discretize(spec, probe_grid)
     warnings: list[str] = []
-
-    mu = np.stack([spec.drift.row(t, xs) for t in ts])
-    if not np.isfinite(mu).all():
-        t_bad, x_bad = _first_bad_point(mu, ts, xs)
-        raise ValidationError(f"drift is not finite at probe point (t={t_bad}, x={x_bad})")
-
-    sig = spec.diffusion.row(0.0, xs)
-    if not np.isfinite(sig).all():
-        j = int(np.flatnonzero(~np.isfinite(sig))[0])
-        raise ValidationError(f"diffusion is not finite at probe point x={xs[j]}")
-    if (sig < 0).any():
-        j = int(np.flatnonzero(sig < 0)[0])
-        raise ValidationError(f"diffusion is negative at probe point x={xs[j]}")
-    if (sig <= 0).any():
+    if (disc.sigma <= 0).any():
         warnings.append("diffusion vanishes somewhere on the probe grid")
 
-    g = np.stack([spec.terminal_reward.row(t, xs) for t in ts])
-    if not np.isfinite(g).all():
-        t_bad, x_bad = _first_bad_point(g, ts, xs)
-        raise ValidationError(f"terminal reward is not finite at probe point (t={t_bad}, x={x_bad})")
-    if spec.running_reward is not None:
-        f = np.stack([spec.running_reward.row(t, xs) for t in ts])
-        if not np.isfinite(f).all():
-            t_bad, x_bad = _first_bad_point(f, ts, xs)
-            raise ValidationError(f"running reward is not finite at probe point (t={t_bad}, x={x_bad})")
-
-    dx = probe_grid.dx
-    lip = float(np.max(np.abs(np.diff(mu, axis=1))) / dx) if mu.shape[1] > 1 else 0.0
+    mu = disc.mu
+    jumps = np.diff(mu, axis=1)
+    lip = float(np.max(np.abs(jumps, out=jumps)) / probe_grid.dx)
     if not np.isfinite(lip):
         raise ValidationError("drift Lipschitz estimate is not finite on the probe grid")
 
@@ -118,7 +162,8 @@ def validate_problem(spec: ProblemSpec, probe_grid: Grid) -> ValidatedProblem:
     if spec.pole_at_horizon or (last_row > 10.0 and last_row > 50.0 * max(first_row, 1e-12)):
         warnings.append("drift magnitude grows unboundedly as t -> T")
 
-    return ValidatedProblem(spec=spec, lipschitz_estimate=lip, warnings=tuple(warnings))
+    return ValidatedProblem(spec=spec, lipschitz_estimate=lip, warnings=tuple(warnings),
+                            disc=disc)
 
 
 def flip_orientation(spec: ProblemSpec) -> ProblemSpec:
@@ -180,6 +225,7 @@ def flip_orientation(spec: ProblemSpec) -> ProblemSpec:
         orientation=(
             Orientation.LOWER if spec.orientation is Orientation.UPPER else Orientation.UPPER
         ),
+        reflected=not spec.reflected,
     )
 
 

@@ -72,7 +72,6 @@ class CoupledBundle:
     early: PathBundle
     region: Region
     region_exit: np.ndarray
-    shared_increments: bool = True
 
 
 def everywhere_region() -> Region:
@@ -234,8 +233,6 @@ def comparison_report(cb: CoupledBundle, c_ord: float = 1.0) -> CheckReport:
     units per time unit), since Euler noise can break exact ordering when
     the diffusion coefficient is state-dependent.
     """
-    if not cb.shared_increments:
-        raise SimulationError("comparison_report needs a shared-increment coupling")
     stats, k_worst, path_worst = coupling_statistic(cb)
     worst = float(stats.max())
     tol = c_ord * cb.late.dt

@@ -13,16 +13,28 @@ solved by projected SOR with red-black sweeps; spatial edges carry Dirichlet
 values equal to the obstacle, which is exact when the stopping region reaches
 the edge and otherwise relies on the grid pad to keep edge effects away from
 the region of interest.
+
+The coefficients are read from the samples taken once per run by
+``validate_problem``; the original frame of a reflected problem is derived
+from them by reversal and negation, which is exact.  One helper assembles
+each backward step, for the solver and for the residual check alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grids import Grid, GridError, make_grid, pole_offset
-from .problems import Orientation, ProblemSpec, StateSpace, ValidatedProblem
+from .problems import (
+    Discretization,
+    Orientation,
+    ProblemSpec,
+    StateSpace,
+    ValidatedProblem,
+    reference_state,
+)
 
 PSOR_TOL = 1e-8
 PSOR_MAX_SWEEPS = 10_000
@@ -84,8 +96,7 @@ def build_grid(problem, x_pad: float, nt: int, nx: int, x_ref: float | None = No
     if nt < 2 or nx < 2:
         raise GridError(f"need nt, nx >= 2, got nt={nt}, nx={nx}")
     half_line = spec.state_space is StateSpace.POSITIVE_HALF_LINE
-    if x_ref is None:
-        x_ref = 1.0 if half_line else 0.0
+    x_ref = reference_state(spec, x_ref)
     window = max(1.0, abs(x_ref))
     probe = np.linspace(x_ref - window, x_ref + window, 41)
     if half_line:
@@ -206,19 +217,37 @@ def _psor(lower, diag, upper, rhs, psi, v0, omega, tol, max_sweeps, where):
     )
 
 
-def _reward_rows(field, ts, xs):
-    if field is None:
-        return None
-    if field.time_independent:
-        row = field.row(ts[0], xs)
-        return np.tile(row, (len(ts), 1))
-    return np.stack([field.row(t, xs) for t in ts])
-
-
 def _step_theta(theta: float, rannacher: bool, k: int, nt: int) -> float:
     if rannacher and theta != 1.0 and k >= nt - 2:
         return 1.0
     return theta
+
+
+def _backward_steps(disc: Discretization, theta: float, rannacher: bool, v: np.ndarray):
+    """Assemble each backward step's tridiagonal system, from k = nt-1 down to 0.
+
+    Yields (k, lower, diag, upper, rhs) for the interior unknowns v[k, 1:-1].
+    The right-hand side reads v[k + 1], so the caller fills each slice
+    before the next step is assembled; the Dirichlet edges v[k, 0] and
+    v[k, -1] must be set beforehand and are folded into rhs.
+    """
+    grid = disc.grid
+    nt, dt, dx = grid.nt, grid.dt, grid.dx
+    sig2_i = (disc.sigma * disc.sigma)[1:-1]
+    f = disc.f
+    co_next = _operator_coefficients(disc.mu[nt, 1:-1], sig2_i, dx)
+    for k in range(nt - 1, -1, -1):
+        th = _step_theta(theta, rannacher, k, nt)
+        co_now = lo_n, di_n, up_n = _operator_coefficients(disc.mu[k, 1:-1], sig2_i, dx)
+        lo_x, di_x, up_x = co_next
+        vn = v[k + 1]
+        rhs = vn[1:-1] + (1.0 - th) * dt * (lo_x * vn[:-2] + di_x * vn[1:-1] + up_x * vn[2:])
+        if f is not None:
+            rhs = rhs + dt * (th * f[k][1:-1] + (1.0 - th) * f[k + 1][1:-1])
+        rhs[0] += th * dt * lo_n[0] * v[k, 0]
+        rhs[-1] += th * dt * up_n[-1] * v[k, -1]
+        yield k, -th * dt * lo_n, 1.0 - th * dt * di_n, -th * dt * up_n, rhs
+        co_next = co_now
 
 
 def solve_backward(problem: ValidatedProblem, grid: Grid, theta: float = 0.5, *,
@@ -228,75 +257,29 @@ def solve_backward(problem: ValidatedProblem, grid: Grid, theta: float = 0.5, *,
 
     The terminal slice equals the obstacle exactly; every earlier slice is
     the projected theta-scheme step, so v >= obstacle holds at every node by
-    construction.  Non-finite coefficients (e.g. a drift pole hit by the
-    grid) raise naming the offending node.
+    construction.  The obstacle is the validated sample of the terminal
+    reward; spatial edges carry Dirichlet values equal to it.
     """
-    spec = problem.spec
-    ts, xs = grid.t_nodes, grid.x_nodes
-    nt, nx = grid.nt, grid.nx
-    dt, dx = grid.dt, grid.dx
-    xi = xs[1:-1]
+    disc = problem.samples_on(grid)
+    ts = grid.t_nodes
+    psi = disc.g
 
-    sig = spec.diffusion.row(0.0, xs)
-    if not np.isfinite(sig).all():
-        j = int(np.flatnonzero(~np.isfinite(sig))[0])
-        raise SolverError(f"diffusion not finite at node x={xs[j]}")
-    sig2_i = (sig * sig)[1:-1]
-
-    psi = _reward_rows(spec.terminal_reward, ts, xs)
-    if not np.isfinite(psi).all():
-        k, j = np.argwhere(~np.isfinite(psi))[0]
-        raise SolverError(f"obstacle not finite at node (t={ts[k]}, x={xs[j]})")
-    frow = _reward_rows(spec.running_reward, ts, xs)
-
-    v = np.empty((nt + 1, nx + 1))
-    v[nt] = psi[nt]
-    sweeps = np.zeros(nt, dtype=int)
+    v = np.empty((grid.nt + 1, grid.nx + 1))
+    v[-1] = psi[-1]
+    v[:, 0] = psi[:, 0]
+    v[:, -1] = psi[:, -1]
+    sweeps = np.zeros(grid.nt, dtype=int)
     worst_res = 0.0
-
-    def drift_row(k):
-        row = spec.drift.row(ts[k], xi)
-        if not np.isfinite(row).all():
-            j = int(np.flatnonzero(~np.isfinite(row))[0])
-            raise SolverError(f"drift not finite at node (t={ts[k]}, x={xi[j]})")
-        return row
-
-    mu_next = drift_row(nt)
-    co_next = _operator_coefficients(mu_next, sig2_i, dx)
-
-    for k in range(nt - 1, -1, -1):
-        th = _step_theta(theta, rannacher, k, nt)
-        mu_now = drift_row(k)
-        lo_n, di_n, up_n = _operator_coefficients(mu_now, sig2_i, dx)
-        lo_x, di_x, up_x = co_next
-
-        vn = v[k + 1]
-        rhs = vn[1:-1] + (1.0 - th) * dt * (
-            lo_x * vn[:-2] + di_x * vn[1:-1] + up_x * vn[2:]
-        )
-        if frow is not None:
-            rhs = rhs + dt * (th * frow[k][1:-1] + (1.0 - th) * frow[k + 1][1:-1])
-
-        # Dirichlet edges: v = obstacle, folded into the implicit system
-        v[k, 0] = psi[k, 0]
-        v[k, -1] = psi[k, -1]
-        rhs[0] += th * dt * lo_n[0] * v[k, 0]
-        rhs[-1] += th * dt * up_n[-1] * v[k, -1]
-
-        lower = -th * dt * lo_n
-        diag = 1.0 - th * dt * di_n
-        upper = -th * dt * up_n
-
-        omega = _auto_omega(lower, diag, upper, nx - 1)
+    for k, lower, diag, upper, rhs in _backward_steps(disc, theta, rannacher, v):
+        omega = _auto_omega(lower, diag, upper, grid.nx - 1)
         v_int, sw, res = _psor(
             lower, diag, upper, rhs, psi[k][1:-1],
-            np.maximum(vn[1:-1], psi[k][1:-1]),
+            np.maximum(v[k + 1, 1:-1], psi[k][1:-1]),
             omega, psor_tol, max_sweeps, where=f"t={ts[k]:.6g}",
         )
         v[k, 1:-1] = v_int
         sweeps[k] = sw
         worst_res = max(worst_res, res)
-        co_next = (lo_n, di_n, up_n)
 
     tol_contact = 1e-7 * (1.0 + float(np.max(np.abs(psi))))
     mask = (v - psi) <= tol_contact
@@ -344,18 +327,27 @@ def extract_boundary(surface: ValueSurface) -> Boundary:
     )
 
 
-def unflip_surface(surface: ValueSurface, original: ValidatedProblem) -> ValueSurface:
-    """Map a surface solved on the reflected problem back to the original axis."""
-    grid = surface.grid
-    # negation is exact, so the unflipped nodes mirror the solved ones bit-for-bit
-    new_grid = Grid(t_nodes=grid.t_nodes.copy(), x_nodes=(-grid.x_nodes[::-1]).copy())
+def unflip_surface(surface: ValueSurface, original) -> ValueSurface:
+    """Map a surface solved on the reflected problem back to the original axis.
+
+    ``original`` is the original problem, validated or as a spec.  Its
+    samples are the solved ones reflected, not a fresh sampling: reflection
+    is exact, so mu -> -mu(t, -x) and h -> h(t, -x) equal a fresh sampling
+    bit for bit, and negation mirrors the grid nodes bit for bit.
+    """
+    spec = original.spec if isinstance(original, ValidatedProblem) else original
+    solved = surface.problem
+    d = solved.samples_on(surface.grid)
+    new_grid = Grid(t_nodes=d.grid.t_nodes.copy(), x_nodes=(-d.grid.x_nodes[::-1]).copy())
+    disc = Discretization(grid=new_grid, mu=-d.mu[:, ::-1], sigma=d.sigma[::-1],
+                          g=d.g[:, ::-1], f=None if d.f is None else d.f[:, ::-1])
     return ValueSurface(
         grid=new_grid,
         v=surface.v[:, ::-1].copy(),
         obstacle=surface.obstacle[:, ::-1].copy(),
         exercise_mask=surface.exercise_mask[:, ::-1].copy(),
         tol_contact=surface.tol_contact,
-        problem=original,
+        problem=replace(solved, spec=spec, disc=disc),
         meta=surface.meta,
     )
 
@@ -382,38 +374,18 @@ def residual_complementarity(surface: ValueSurface):
     """
     from .reports import CheckReport, FAIL, PASS
 
-    spec = surface.problem.spec
     grid = surface.grid
-    ts, xs = grid.t_nodes, grid.x_nodes
-    nt, dt, dx = grid.nt, grid.dt, grid.dx
-    xi = xs[1:-1]
-    sig = spec.diffusion.row(0.0, xs)
-    sig2_i = (sig * sig)[1:-1]
+    xi = grid.x_nodes[1:-1]
+    dt, dx = grid.dt, grid.dx
     psi = surface.obstacle
     v = surface.v
-    frow = _reward_rows(spec.running_reward, ts, xs)
+    disc = surface.problem.samples_on(grid)
 
     worst = 0.0
     witness = None
     coef_scale = 1.0
-    mu_next = spec.drift.row(ts[nt], xi)
-    co_next = _operator_coefficients(mu_next, sig2_i, dx)
-    theta = surface.meta.theta
-    for k in range(nt - 1, -1, -1):
-        th = _step_theta(theta, surface.meta.rannacher, k, nt)
-        mu_now = spec.drift.row(ts[k], xi)
-        lo_n, di_n, up_n = _operator_coefficients(mu_now, sig2_i, dx)
-        lo_x, di_x, up_x = co_next
-        vn = v[k + 1]
-        rhs = vn[1:-1] + (1.0 - th) * dt * (lo_x * vn[:-2] + di_x * vn[1:-1] + up_x * vn[2:])
-        if frow is not None:
-            rhs = rhs + dt * (th * frow[k][1:-1] + (1.0 - th) * frow[k + 1][1:-1])
-        rhs[0] += th * dt * lo_n[0] * v[k, 0]
-        rhs[-1] += th * dt * up_n[-1] * v[k, -1]
-        lower = -th * dt * lo_n
-        diag = 1.0 - th * dt * di_n
-        upper = -th * dt * up_n
-
+    for k, lower, diag, upper, rhs in _backward_steps(disc, surface.meta.theta,
+                                                      surface.meta.rannacher, v):
         av = _tridiag_apply(lower, diag, upper, v[k, 1:-1])
         gap = v[k, 1:-1] - psi[k, 1:-1]
         stopping = surface.exercise_mask[k, 1:-1]
@@ -423,10 +395,9 @@ def residual_complementarity(surface: ValueSurface):
         j = int(np.argmax(res))
         if res[j] > worst:
             worst = float(res[j])
-            witness = (float(ts[k]), float(xi[j]))
+            witness = (float(grid.t_nodes[k]), float(xi[j]))
         gen_scale = np.max(np.abs(av - v[k, 1:-1])) / max(dt, 1e-300)
         coef_scale = max(coef_scale, float(gen_scale))
-        co_next = (lo_n, di_n, up_n)
 
     tol = 10.0 * (dt + dx * dx) * coef_scale
     return CheckReport(
@@ -435,7 +406,22 @@ def residual_complementarity(surface: ValueSurface):
         worst_violation=worst,
         witness=witness,
         tolerance=tol,
-        notes=f"max discrete complementarity residual over {nt} backward steps",
+        notes=f"max discrete complementarity residual over {grid.nt} backward steps",
+    )
+
+
+def value_at(surface: ValueSurface, t: float, x: float) -> float:
+    """Bilinear interpolation of the solved value at an off-grid point."""
+    ts, xs = surface.grid.t_nodes, surface.grid.x_nodes
+    k = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))
+    j = int(np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2))
+    wt = 0.0 if ts[k + 1] == ts[k] else (t - ts[k]) / (ts[k + 1] - ts[k])
+    wx = 0.0 if xs[j + 1] == xs[j] else (x - xs[j]) / (xs[j + 1] - xs[j])
+    wt, wx = float(np.clip(wt, 0, 1)), float(np.clip(wx, 0, 1))
+    v = surface.v
+    return float(
+        (1 - wt) * ((1 - wx) * v[k, j] + wx * v[k, j + 1])
+        + wt * ((1 - wx) * v[k + 1, j] + wx * v[k + 1, j + 1])
     )
 
 

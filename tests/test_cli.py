@@ -1,5 +1,6 @@
 """End-to-end CLI runs, artifact formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 
@@ -9,6 +10,7 @@ import pytest
 from stoplab.cli import main
 from stoplab.config import loads_config
 from stoplab.pipeline import export_surface, run_problem
+from stoplab.problems import discretize
 import stoplab as sl
 
 FAST_CONFIG = """
@@ -260,3 +262,121 @@ def test_check_subcommand_reduced_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "running_reward_monotone" in out
+
+
+def test_check_subcommand_reports_missing_running_reward(tmp_path, capsys):
+    text = FAST_CONFIG.replace("run = reward_x_monotone", "run = running_reward_monotone reward_x_monotone")
+    code = main(["check", _write(tmp_path, text)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[INCONCLUSIVE] running_reward_monotone" in out
+    assert "[PASS] reward_x_monotone" in out
+
+
+HALF_LINE_LSMC_CONFIG = """
+[problem]
+drift = "0.5*x"
+sigma = "0.2*x"
+terminal = "x"
+horizon = 1.0
+state_space = positive_half_line
+
+[grid]
+nt = 40
+nx = 40
+
+[simulation]
+seed = 3
+n_paths = 400
+n_steps = 39
+lsmc = true
+lsmc_degree = 2
+dump_paths = true
+
+[checks]
+run = lsmc_cross_check
+
+[output]
+directory = out
+"""
+
+
+def test_half_line_lsmc_defaults_to_positive_start(tmp_path):
+    # without lsmc_x and x_ref every start state falls back to x = 1 on the
+    # half line, where the grid is centred too
+    art = run_problem(loads_config(HALF_LINE_LSMC_CONFIG), out_dir=str(tmp_path / "o"))
+    report, = art.reports
+    assert report.witness == (0.0, 1.0)
+    assert art.lsmc.estimate > 1.0
+    xs = art.surface.grid.x_nodes
+    assert xs[0] < 1.0 < xs[-1]
+    with open(art.files["paths"]) as fh:
+        assert fh.readlines()[1].strip() == "0,0,0,1"
+
+
+UPPER_CONFIG = """
+[problem]
+drift_family = brownian_bridge
+pin = 0.0
+sigma = "1"
+terminal = "exp(x)"
+horizon = 1.0
+orientation = upper
+
+[grid]
+nt = 30
+nx = 30
+x_ref = 0.0
+x_pad = 4.0
+
+[checks]
+run = reward_x_monotone drift_time_monotone_where_drift_negative drift_curvature_balance value_time_monotone boundary_monotone residual_complementarity value_continuity
+
+[output]
+directory = out
+"""
+
+
+def test_upper_run_samples_coefficients_once(monkeypatch):
+    import stoplab.pipeline as pipeline
+
+    validations = []
+    real_validate = pipeline.validate_problem
+
+    def counting_validate(spec, grid):
+        validations.append(grid)
+        return real_validate(spec, grid)
+
+    drift_rows = []
+    real_build = pipeline.build_problem
+
+    def counting_build(problem_cfg):
+        spec = real_build(problem_cfg)
+        inner = spec.drift.evaluator
+
+        def evaluator(t, x):
+            if np.size(x) > 3:  # a grid row, not a probe point
+                drift_rows.append(t)
+            return inner(t, x)
+
+        return dataclasses.replace(spec, drift=dataclasses.replace(spec.drift, evaluator=evaluator))
+
+    monkeypatch.setattr(pipeline, "validate_problem", counting_validate)
+    monkeypatch.setattr(pipeline, "build_problem", counting_build)
+    art = run_problem(loads_config(UPPER_CONFIG))
+    assert art.exit_ok
+    assert len(validations) == 1
+    assert len(drift_rows) <= art.surface.grid.nt + 1
+
+
+@pytest.mark.parametrize("name", ["brownian_bridge_exp", "brownian_bridge_linear_flipped",
+                                  "ou_time_mean"])
+def test_reflected_samples_equal_original_frame_resampling(name):
+    cfg = sl.builtin_examples()[name]
+    assert cfg.problem.orientation == "upper"
+    cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, nt=50, nx=50),
+                              simulation=None)
+    art = run_problem(cfg)
+    fresh = discretize(art.problem.spec, art.surface.grid)
+    assert np.array_equal(art.problem.disc.mu, fresh.mu)
+    assert np.array_equal(art.problem.disc.g, fresh.g)

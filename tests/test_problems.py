@@ -62,6 +62,13 @@ class TestValidate:
         with pytest.raises(ValidationError, match="x=0"):
             sl.validate_problem(spec, _grid())
 
+    def test_reflected_spec_names_node_in_user_frame(self):
+        # sqrt(x) is undefined left of the origin; in the reflected frame that
+        # is the right half, but the error must name the user's x < 0
+        spec = _spec(terminal="sqrt(x)", orientation=Orientation.UPPER)
+        with pytest.raises(ValidationError, match=r"terminal reward .* x=-0\.2"):
+            sl.validate_problem(sl.flip_orientation(spec), _grid())
+
     def test_lipschitz_estimate_linear_drift(self):
         spec = _spec(drift="3*x")
         out = sl.validate_problem(spec, _grid())
