@@ -7,9 +7,8 @@ import sys
 
 from .checks import CHECKS, FIELDS, CheckInputs
 from .config import ConfigError, builtin_examples, load_config
-from .pipeline import StageError, build_problem, run_problem
-from .problems import ValidationError, reduce_to_running_reward, validate_problem
-from .solver import build_grid
+from .pipeline import StageError, prepare_problem, run_problem
+from .problems import reflect_problem
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -59,7 +58,8 @@ def _cmd_check(args) -> int:
     """Hypothesis checks only: probe the coefficient fields without solving.
 
     Runs the requested checks that need only the fields, or by default the
-    reward and everywhere drift checks; verdicts match those of ``solve``.
+    reward and everywhere drift checks.  The set-up is ``solve``'s own, so
+    verdicts, worst values and witnesses match those of ``solve`` exactly.
     """
     try:
         cfg = load_config(args.config)
@@ -67,15 +67,12 @@ def _cmd_check(args) -> int:
         print(f"error in stage 'load_config': {err}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        spec = build_problem(cfg.problem)
-        if cfg.problem.reduce:
-            spec = reduce_to_running_reward(spec)
-        grid = build_grid(spec, cfg.grid.x_pad, cfg.grid.nt, cfg.grid.nx,
-                          x_ref=cfg.grid.x_ref)
-        problem = validate_problem(spec, grid)
-    except (ValidationError, ValueError) as err:
-        print(f"error in stage 'validate': {err}", file=sys.stderr)
+        spec, problem = prepare_problem(cfg)
+    except StageError as err:
+        print(f"error in stage {err.stage!r}: {err.cause}", file=sys.stderr)
         return EXIT_ERROR
+    if problem.spec.reflected:
+        problem = reflect_problem(problem, spec, problem.disc.grid)
 
     wanted = [name for name in cfg.checks if CHECKS[name][0] == FIELDS]
     wanted = wanted or ["reward_x_monotone", "drift_time_monotone_everywhere"]

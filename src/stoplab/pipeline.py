@@ -15,7 +15,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -124,6 +125,54 @@ def build_problem(cfg: ProblemConfig) -> ProblemSpec:
     )
 
 
+@contextmanager
+def _stage(timings: dict[str, float], stage: str):
+    """Time one pipeline stage into ``timings``; its errors become a StageError."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(stage, exc) from exc
+    finally:
+        timings[stage] = time.perf_counter() - t0
+
+
+def prepare_problem(cfg: RunConfig, refine: int = 0, timings: Optional[dict[str, float]] = None
+                    ) -> tuple[ProblemSpec, ValidatedProblem]:
+    """The set-up shared by ``solve`` and ``check``: stages build_problem, prepare, validate.
+
+    Returns the problem on the user's axis, reduced to a running reward when
+    the config asks, and the problem validated in the solve frame: reflected
+    (``spec.reflected``) for an upper boundary, with the grid's nt and nx
+    doubled ``refine`` times and the coefficients sampled once.  Any error
+    is raised as a StageError naming its stage.
+    """
+    timings = {} if timings is None else timings
+    grid_cfg = cfg.grid
+    with _stage(timings, "build_problem"):
+        original_spec = build_problem(cfg.problem)
+
+    flipped = original_spec.orientation is Orientation.UPPER
+    with _stage(timings, "prepare"):
+        spec = reduce_to_running_reward(original_spec) if cfg.problem.reduce else original_spec
+        solve_spec = spec
+        if flipped:
+            solve_spec = flip_orientation(original_spec)
+            if cfg.problem.reduce:
+                solve_spec = reduce_to_running_reward(solve_spec)
+        solve_ref = None if grid_cfg.x_ref is None else (
+            -grid_cfg.x_ref if flipped else grid_cfg.x_ref
+        )
+        solve_grid = build_grid(solve_spec, grid_cfg.x_pad, grid_cfg.nt * 2 ** refine,
+                                grid_cfg.nx * 2 ** refine, x_ref=solve_ref)
+
+    with _stage(timings, "validate"):
+        solved = validate_problem(solve_spec, solve_grid)
+    return spec, solved
+
+
 def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
                 seed_override: Optional[int] = None) -> RunArtifacts:
     """Execute the full pipeline for one configuration.
@@ -133,53 +182,22 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
     requested check.
     """
     timings: dict[str, float] = {}
-
-    def timed(stage):
-        class _Timer:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, exc_type, exc, tb):
-                timings[stage] = time.perf_counter() - self.t0
-                if exc is not None and not isinstance(exc, StageError):
-                    raise StageError(stage, exc) from exc
-
-        return _Timer()
-
     grid_cfg = cfg.grid
-    nt, nx = grid_cfg.nt * (2 ** refine), grid_cfg.nx * (2 ** refine)
     sim_cfg = cfg.simulation
     if seed_override is not None and sim_cfg is not None:
-        from dataclasses import replace
-
         sim_cfg = replace(sim_cfg, seed=seed_override)
 
-    with timed("build_problem"):
-        original_spec = build_problem(cfg.problem)
+    spec, solve_problem = prepare_problem(cfg, refine, timings)
+    flipped = solve_problem.spec.reflected
 
-    flipped = original_spec.orientation is Orientation.UPPER
-    with timed("prepare"):
-        solve_spec = flip_orientation(original_spec) if flipped else original_spec
-        if cfg.problem.reduce:
-            solve_spec = reduce_to_running_reward(solve_spec)
-        solve_ref = None if grid_cfg.x_ref is None else (
-            -grid_cfg.x_ref if flipped else grid_cfg.x_ref
-        )
-        solve_grid = build_grid(solve_spec, grid_cfg.x_pad, nt, nx, x_ref=solve_ref)
-
-    with timed("validate"):
-        solve_problem = validate_problem(solve_spec, solve_grid)
-
-    with timed("solve"):
-        solve_surface = solve_backward(solve_problem, solve_grid, theta=grid_cfg.theta)
+    with _stage(timings, "solve"):
+        solve_surface = solve_backward(solve_problem, solve_problem.disc.grid,
+                                       theta=grid_cfg.theta)
         solve_boundary = extract_boundary(solve_surface)
 
-    with timed("unflip"):
+    with _stage(timings, "unflip"):
         if flipped:
-            check_spec = original_spec
-            if cfg.problem.reduce:
-                check_spec = reduce_to_running_reward(original_spec)
-            surface = unflip_surface(solve_surface, check_spec)
+            surface = unflip_surface(solve_surface, spec)
             boundary = unflip_boundary(solve_boundary)
         else:
             surface = solve_surface
@@ -192,8 +210,8 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
     x0 = None
     if sim_cfg is not None:
         x0 = sim_cfg.lsmc_x if sim_cfg.lsmc_x is not None else \
-            reference_state(original_spec, grid_cfg.x_ref)
-        with timed("simulate"):
+            reference_state(spec, grid_cfg.x_ref)
+        with _stage(timings, "simulate"):
             if sim_cfg.couplings:
                 region = (
                     everywhere_region()
@@ -215,7 +233,7 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
                                          sim_cfg.n_paths, sim_cfg.n_steps,
                                          sim_cfg.lsmc_degree, sim_cfg.seed)
 
-    with timed("checks"):
+    with _stage(timings, "checks"):
         inputs = CheckInputs(
             problem=check_problem, surface=surface, boundary=boundary,
             solve_surface=solve_surface, couplings=tuple(couplings),
@@ -239,7 +257,7 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
 
     directory = out_dir or cfg.output.directory
     if directory:
-        with timed("export"):
+        with _stage(timings, "export"):
             artifacts.files = export_artifacts(artifacts, directory, bundles)
     return artifacts
 
@@ -254,11 +272,22 @@ def _fmt_float(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _fmt_column(a: np.ndarray) -> list[str]:
+    """``_fmt_float`` of every element of a 1-d array, formatted in one pass."""
+    values = a.tolist()
+    if np.isfinite(a).all():
+        return [f"{v:.17g}" for v in values]
+    return [_fmt_float(v) for v in values]
+
+
 def export_surface(surface: ValueSurface, boundary: Boundary, directory: str) -> dict[str, str]:
     """Write the surface and boundary CSVs; returns the file paths.
 
     Surface rows are row-major by t then x with 17-significant-digit floats;
-    boundary sentinels are the literal strings -inf / +inf.
+    boundary sentinels are the literal strings -inf / +inf.  The t and x
+    labels are formatted once, and an obstacle row whose bytes equal the
+    previous row's is not formatted again (bytes, not ``==``: -0.0 == 0.0
+    but the two print differently).
     """
     os.makedirs(directory, exist_ok=True)
     paths = {}
@@ -266,34 +295,37 @@ def export_surface(surface: ValueSurface, boundary: Boundary, directory: str) ->
     surface_path = os.path.join(directory, "surface.csv")
     with open(surface_path, "w", encoding="utf-8") as fh:
         fh.write("t,x,v,g,exercise\n")
-        ts, xs = surface.grid.t_nodes, surface.grid.x_nodes
-        for k in range(len(ts)):
-            for j in range(len(xs)):
-                fh.write(
-                    f"{_fmt_float(ts[k])},{_fmt_float(xs[j])},"
-                    f"{_fmt_float(surface.v[k, j])},{_fmt_float(surface.obstacle[k, j])},"
-                    f"{int(surface.exercise_mask[k, j])}\n"
-                )
+        x_labels = [f"{x}," for x in _fmt_column(surface.grid.x_nodes)]
+        ends = (",0\n", ",1\n")
+        g_prev, g_row = None, None
+        for k, t in enumerate(_fmt_column(surface.grid.t_nodes)):
+            g_bytes = surface.obstacle[k].tobytes()
+            if g_bytes != g_prev:
+                g_prev, g_row = g_bytes, _fmt_column(surface.obstacle[k])
+            fh.write("".join([
+                f"{t},{x}{v},{g}{ends[e]}" for x, v, g, e in
+                zip(x_labels, _fmt_column(surface.v[k]), g_row,
+                    surface.exercise_mask[k].tolist())
+            ]))
     paths["surface"] = surface_path
 
     boundary_path = os.path.join(directory, "boundary.csv")
     with open(boundary_path, "w", encoding="utf-8") as fh:
         fh.write("t,b\n")
-        for t, b in zip(boundary.t_nodes, boundary.values):
-            fh.write(f"{_fmt_float(t)},{_fmt_float(b)}\n")
+        fh.write("".join([f"{t},{b}\n" for t, b in
+                          zip(_fmt_column(boundary.t_nodes), _fmt_column(boundary.values))]))
     paths["boundary"] = boundary_path
     return paths
 
 
 def export_paths_csv(bundle, directory: str) -> str:
     path = os.path.join(directory, "paths.csv")
-    times = bundle.times()
+    steps = [f"{k},{t}," for k, t in enumerate(_fmt_column(bundle.times()))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("path,step,time,state\n")
         for i in range(bundle.n_paths):
-            row = bundle.states[i]
-            for k in range(bundle.n_steps + 1):
-                fh.write(f"{i},{k},{_fmt_float(times[k])},{_fmt_float(row[k])}\n")
+            fh.write("".join([f"{i},{step}{x}\n" for step, x in
+                              zip(steps, _fmt_column(bundle.states[i]))]))
     return path
 
 

@@ -166,6 +166,20 @@ def validate_problem(spec: ProblemSpec, probe_grid: Grid) -> ValidatedProblem:
                             disc=disc)
 
 
+def reflect_problem(problem: ValidatedProblem, spec: ProblemSpec, grid: Grid) -> ValidatedProblem:
+    """A problem validated on the reflected axis, carried back to ``spec``'s axis.
+
+    The samples on ``grid`` are reflected, not sampled afresh: mu -> -mu(t, -x)
+    and h -> h(t, -x) on the negated, reversed nodes equal a fresh sampling
+    bit for bit.  The warnings and the Lipschitz estimate are kept.
+    """
+    d = problem.samples_on(grid)
+    new_grid = Grid(t_nodes=d.grid.t_nodes.copy(), x_nodes=(-d.grid.x_nodes[::-1]).copy())
+    disc = Discretization(grid=new_grid, mu=-d.mu[:, ::-1], sigma=d.sigma[::-1],
+                          g=d.g[:, ::-1], f=None if d.f is None else d.f[:, ::-1])
+    return replace(problem, spec=spec, disc=disc)
+
+
 def flip_orientation(spec: ProblemSpec) -> ProblemSpec:
     """Reflect the state axis, swapping upper- and lower-boundary problems.
 

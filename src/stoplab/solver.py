@@ -22,7 +22,7 @@ each backward step, for the solver and for the residual check alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,10 @@ from .grids import Grid, GridError, make_grid, pole_offset
 from .problems import (
     Discretization,
     Orientation,
-    ProblemSpec,
     StateSpace,
     ValidatedProblem,
     reference_state,
+    reflect_problem,
 )
 
 PSOR_TOL = 1e-8
@@ -331,23 +331,18 @@ def unflip_surface(surface: ValueSurface, original) -> ValueSurface:
     """Map a surface solved on the reflected problem back to the original axis.
 
     ``original`` is the original problem, validated or as a spec.  Its
-    samples are the solved ones reflected, not a fresh sampling: reflection
-    is exact, so mu -> -mu(t, -x) and h -> h(t, -x) equal a fresh sampling
-    bit for bit, and negation mirrors the grid nodes bit for bit.
+    samples are the solved ones reflected (``reflect_problem``), not a fresh
+    sampling, and negation mirrors the grid nodes bit for bit.
     """
     spec = original.spec if isinstance(original, ValidatedProblem) else original
-    solved = surface.problem
-    d = solved.samples_on(surface.grid)
-    new_grid = Grid(t_nodes=d.grid.t_nodes.copy(), x_nodes=(-d.grid.x_nodes[::-1]).copy())
-    disc = Discretization(grid=new_grid, mu=-d.mu[:, ::-1], sigma=d.sigma[::-1],
-                          g=d.g[:, ::-1], f=None if d.f is None else d.f[:, ::-1])
+    problem = reflect_problem(surface.problem, spec, surface.grid)
     return ValueSurface(
-        grid=new_grid,
+        grid=problem.disc.grid,
         v=surface.v[:, ::-1].copy(),
         obstacle=surface.obstacle[:, ::-1].copy(),
         exercise_mask=surface.exercise_mask[:, ::-1].copy(),
         tol_contact=surface.tol_contact,
-        problem=replace(solved, spec=spec, disc=disc),
+        problem=problem,
         meta=surface.meta,
     )
 
@@ -423,10 +418,3 @@ def value_at(surface: ValueSurface, t: float, x: float) -> float:
         (1 - wt) * ((1 - wx) * v[k, j] + wx * v[k, j + 1])
         + wt * ((1 - wx) * v[k + 1, j] + wx * v[k + 1, j + 1])
     )
-
-
-def refine(grid: Grid, spec: ProblemSpec, factor: int = 2) -> Grid:
-    """Halve dt and dx ``factor`` times, re-shaving any pole offset."""
-    nt, nx = grid.nt * factor, grid.nx * factor
-    t_end = spec.horizon - (pole_offset(spec.horizon, nt) if spec.pole_at_horizon else 0.0)
-    return make_grid(t_end, grid.x_nodes[0], grid.x_nodes[-1], nt, nx)

@@ -7,10 +7,14 @@ import os
 import numpy as np
 import pytest
 
+import stoplab.cli
+from stoplab.checks import CHECKS, FIELDS
 from stoplab.cli import main
 from stoplab.config import loads_config
-from stoplab.pipeline import export_surface, run_problem
+from stoplab.grids import Grid
+from stoplab.pipeline import _fmt_float, export_paths_csv, export_surface, run_problem
 from stoplab.problems import discretize
+from stoplab.simulate import PathBundle
 import stoplab as sl
 
 FAST_CONFIG = """
@@ -108,10 +112,11 @@ def test_reports_json_schema(tmp_path):
 
 
 def test_determinism_same_seed_byte_identical(tmp_path):
-    cfg = loads_config(FAST_CONFIG)
+    text = FAST_CONFIG.replace("region = everywhere", "region = everywhere\ndump_paths = true")
+    cfg = loads_config(text)
     a = run_problem(cfg, out_dir=str(tmp_path / "a"))
     b = run_problem(cfg, out_dir=str(tmp_path / "b"))
-    for name in ("surface", "boundary"):
+    for name in ("surface", "boundary", "paths"):
         assert open(a.files[name], "rb").read() == open(b.files[name], "rb").read()
     da = json.load(open(a.files["reports"]))
     db = json.load(open(b.files["reports"]))
@@ -380,3 +385,85 @@ def test_reflected_samples_equal_original_frame_resampling(name):
     fresh = discretize(art.problem.spec, art.surface.grid)
     assert np.array_equal(art.problem.disc.mu, fresh.mu)
     assert np.array_equal(art.problem.disc.g, fresh.g)
+
+
+# The per-cell rendering the CSV writers produced before they formatted whole
+# rows; the files must stay equal to it byte for byte.
+def _cell_surface_csv(surface):
+    ts, xs = surface.grid.t_nodes, surface.grid.x_nodes
+    out = "t,x,v,g,exercise\n"
+    for k in range(len(ts)):
+        for j in range(len(xs)):
+            out += (f"{_fmt_float(ts[k])},{_fmt_float(xs[j])},"
+                    f"{_fmt_float(surface.v[k, j])},{_fmt_float(surface.obstacle[k, j])},"
+                    f"{int(surface.exercise_mask[k, j])}\n")
+    return out
+
+
+def _cell_boundary_csv(boundary):
+    out = "t,b\n"
+    for t, b in zip(boundary.t_nodes, boundary.values):
+        out += f"{_fmt_float(t)},{_fmt_float(b)}\n"
+    return out
+
+
+def _cell_paths_csv(bundle):
+    times = bundle.times()
+    out = "path,step,time,state\n"
+    for i in range(bundle.n_paths):
+        for k in range(bundle.n_steps + 1):
+            out += f"{i},{k},{_fmt_float(times[k])},{_fmt_float(bundle.states[i][k])}\n"
+    return out
+
+
+def test_export_bytes_equal_per_cell_rendering(tmp_path):
+    third = 1.0 / 3.0
+    full = [0.1, third, 5e-324, 1e300]            # all need 17 significant digits
+    obstacle = np.array([
+        [0.0, third, 5e-324, 1e300],
+        [0.0, third, 5e-324, 1e300],              # equal to the previous row
+        [-0.0, third, 5e-324, 1e300],             # differs only by the sign of zero
+        [2 * third, -0.1, 1e-300, 7.0],
+    ])
+    v = obstacle + np.array([[0.0, 0.1, 0.0, 0.0], [0.1, 0.0, third, 0.0],
+                             [0.0, 5e-324, 0.2, 0.0], [0.0, 0.0, 0.0, 0.1]])
+    grid = Grid(t_nodes=np.array([0.0, 0.1, third, 2 * third]),
+                x_nodes=np.array([-third, 5e-324, 0.1, 1e300]))
+    surface = sl.ValueSurface(grid=grid, v=v, obstacle=obstacle, exercise_mask=v == obstacle,
+                              tol_contact=0.0, problem=None, meta=None)
+    boundary = sl.Boundary(t_nodes=grid.t_nodes.copy(), values=np.array([-np.inf, *full[1:3], np.inf]),
+                           orientation=sl.Orientation.LOWER, cell_size=0.1)
+    assert surface.exercise_mask.any() and not surface.exercise_mask.all()
+
+    expected = _cell_surface_csv(surface), _cell_boundary_csv(boundary)
+    assert "\n0.33333333333333331,-0.33333333333333331,0,-0,1\n" in expected[0]
+    assert "\n0,-inf\n" in expected[1] and "\n0.66666666666666663,+inf\n" in expected[1]
+
+    files = export_surface(surface, boundary, str(tmp_path))
+    assert open(files["surface"], encoding="utf-8").read() == expected[0]
+    assert open(files["boundary"], encoding="utf-8").read() == expected[1]
+
+    states = np.array([full, [-0.0, 0.0, -third, np.inf], [1e300, -1e300, 0.5, 2.0]])
+    bundle = PathBundle(start_time=0.1, start_state=0.1, dt=third, states=states, seed=0,
+                        scheme="euler", poisoned=np.zeros(3, dtype=bool))
+    path = export_paths_csv(bundle, str(tmp_path))
+    assert open(path, encoding="utf-8").read() == _cell_paths_csv(bundle)
+
+
+@pytest.mark.parametrize("name", ["brownian_bridge_exp", "brownian_bridge_linear_flipped",
+                                  "ou_time_mean"])
+def test_check_command_matches_solve_bit_for_bit(tmp_path, monkeypatch, name):
+    # both commands sample the upper problem on the same reflected nodes
+    cfg = sl.builtin_examples()[name]
+    field_checks = tuple(c for c in cfg.checks if CHECKS[c][0] == FIELDS)
+    cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, nt=50, nx=50),
+                              simulation=None, checks=field_checks)
+    path = str(tmp_path / "upper.cfg")
+    sl.save_config(cfg, path)
+    printed = []
+    monkeypatch.setattr(stoplab.cli, "_print_reports", printed.extend)
+    main(["check", path])
+    solved = run_problem(cfg).reports
+    assert [r.check_name for r in printed] == list(field_checks)
+    assert [(r.worst_violation, r.witness) for r in printed] == \
+        [(r.worst_violation, r.witness) for r in solved]
