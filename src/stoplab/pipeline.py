@@ -366,7 +366,7 @@ def summary_text(artifacts: RunArtifacts) -> str:
         f"run {artifacts.config.name}  (id {artifacts.run_id})",
         f"grid: {artifacts.surface.grid.nt}x{artifacts.surface.grid.nx}, "
         f"theta={artifacts.surface.meta.theta}, "
-        f"psor worst residual {artifacts.surface.meta.psor_worst_residual:.3g}",
+        f"solver worst residual {artifacts.surface.meta.psor_worst_residual:.3g}",
     ]
     for w in artifacts.warnings:
         lines.append(f"warning: {w}")

@@ -79,10 +79,9 @@ class Discretization:
 
 @dataclass(frozen=True)
 class ValidatedProblem:
-    """A problem spec, its grid samples and sampled regularity diagnostics."""
+    """A problem spec, its grid samples and the warnings raised while sampling."""
 
     spec: ProblemSpec
-    lipschitz_estimate: float
     warnings: tuple[str, ...]
     disc: Discretization
 
@@ -139,11 +138,9 @@ def reference_state(spec: ProblemSpec, x_ref: Optional[float] = None) -> float:
 
 
 def validate_problem(spec: ProblemSpec, probe_grid: Grid) -> ValidatedProblem:
-    """Sample the coefficient fields on a grid and estimate drift regularity.
+    """Sample the coefficient fields on a grid and collect warnings.
 
-    The samples (see ``discretize``) are kept for the solver and the checks.
-    Returns a sampled Lipschitz estimate for x -> drift(t, x) (the sup over
-    consecutive probe pairs of |difference| / dx) and accumulates warnings;
+    The samples (see ``discretize``) are kept for the solver and the checks;
     non-finite evaluations and a negative diffusion are hard errors.
     """
     disc = discretize(spec, probe_grid)
@@ -152,18 +149,12 @@ def validate_problem(spec: ProblemSpec, probe_grid: Grid) -> ValidatedProblem:
         warnings.append("diffusion vanishes somewhere on the probe grid")
 
     mu = disc.mu
-    jumps = np.diff(mu, axis=1)
-    lip = float(np.max(np.abs(jumps, out=jumps)) / probe_grid.dx)
-    if not np.isfinite(lip):
-        raise ValidationError("drift Lipschitz estimate is not finite on the probe grid")
-
     first_row = float(np.max(np.abs(mu[0])))
     last_row = float(np.max(np.abs(mu[-1])))
     if spec.pole_at_horizon or (last_row > 10.0 and last_row > 50.0 * max(first_row, 1e-12)):
         warnings.append("drift magnitude grows unboundedly as t -> T")
 
-    return ValidatedProblem(spec=spec, lipschitz_estimate=lip, warnings=tuple(warnings),
-                            disc=disc)
+    return ValidatedProblem(spec=spec, warnings=tuple(warnings), disc=disc)
 
 
 def reflect_problem(problem: ValidatedProblem, spec: ProblemSpec, grid: Grid) -> ValidatedProblem:
@@ -171,7 +162,7 @@ def reflect_problem(problem: ValidatedProblem, spec: ProblemSpec, grid: Grid) ->
 
     The samples on ``grid`` are reflected, not sampled afresh: mu -> -mu(t, -x)
     and h -> h(t, -x) on the negated, reversed nodes equal a fresh sampling
-    bit for bit.  The warnings and the Lipschitz estimate are kept.
+    bit for bit.  The warnings are kept.
     """
     d = problem.samples_on(grid)
     new_grid = Grid(t_nodes=d.grid.t_nodes.copy(), x_nodes=(-d.grid.x_nodes[::-1]).copy())

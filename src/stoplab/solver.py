@@ -9,10 +9,10 @@ steps to damp obstacle-kink oscillations) and Pecle-switched differencing in
 space: central where |mu| dx / sigma^2 <= 2, first-order upwind otherwise,
 which keeps the system an M-matrix where advection dominates (bridge-type
 drifts near the horizon).  The per-step linear complementarity problem is
-solved by projected SOR with red-black sweeps; spatial edges carry Dirichlet
-values equal to the obstacle, which is exact when the stopping region reaches
-the edge and otherwise relies on the grid pad to keep edge effects away from
-the region of interest.
+solved exactly by policy iteration, each iteration one tridiagonal solve by
+cyclic reduction; spatial edges carry Dirichlet values equal to the obstacle,
+which is exact when the stopping region reaches the edge and otherwise relies
+on the grid pad to keep edge effects away from the region of interest.
 
 The coefficients are read from the samples taken once per run by
 ``validate_problem``; the original frame of a reflected problem is derived
@@ -36,8 +36,6 @@ from .problems import (
     reflect_problem,
 )
 
-PSOR_TOL = 1e-8
-PSOR_MAX_SWEEPS = 10_000
 PECLET_SWITCH = 2.0
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -51,7 +49,7 @@ class SolverError(RuntimeError):
 class SchemeMeta:
     theta: float
     rannacher: bool
-    psor_sweeps: np.ndarray  # sweeps used per backward step
+    psor_sweeps: np.ndarray  # policy iterations per backward step, 0 when the warm start solves it
     psor_worst_residual: float
 
 
@@ -124,9 +122,10 @@ def _operator_coefficients(mu: np.ndarray, sig2: np.ndarray, dx: float):
 
     Returns (lower, diag, upper) with rows summing to zero.  The cell Peclet
     number is |mu| dx / (sigma^2 / 2); switching to upwind beyond 2 keeps all
-    off-diagonal entries nonnegative (M-matrix), which both preserves
-    monotonicity where advection dominates and keeps projected Gauss-Seidel
-    globally convergent.
+    off-diagonal entries nonnegative, so each step matrix I - theta dt L is a
+    strictly diagonally dominant M-matrix.  That preserves monotonicity where
+    advection dominates, makes policy iteration settle finitely on the exact
+    discrete solution, and keeps cyclic reduction stable without pivoting.
     """
     dif = sig2 / (2.0 * dx * dx)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -149,72 +148,66 @@ def _tridiag_apply(lower, diag, upper, v):
     return out
 
 
-def _auto_omega(lower, diag, upper, n: int) -> float:
-    # Jacobi radius estimate via the diagonal similarity that symmetrizes a
-    # tridiagonal with nonnegative off-diagonal products: 2 sqrt(l*u) / d.
-    # The (|l|+|u|)/d bound overshoots badly on advection-dominated rows and
-    # drives SOR unstable there.
-    prod = np.abs(lower * upper)
-    ratio = 2.0 * np.max(np.sqrt(prod) / diag)
-    rho = min(float(ratio) * np.cos(np.pi / (n + 1)), 1.0 - 1e-12)
-    if rho <= 0:
-        return 1.0
-    omega = 2.0 / (1.0 + np.sqrt(1.0 - rho * rho))
-    return float(min(max(omega, 1.0), 1.9))
+def _tridiag_solve(lower, diag, upper, rhs):
+    """Solve a tridiagonal system by cyclic reduction; lower[0] and upper[-1] are ignored.
 
-
-def _psor(lower, diag, upper, rhs, psi, v0, omega, tol, max_sweeps, where):
-    """Projected SOR for the tridiagonal LCP min(v - psi, A v - rhs) = 0.
-
-    Red-black ordering so each half-sweep vectorizes; on a tridiagonal
-    matrix this is a consistently ordered reordering of lexicographic PSOR.
-    Returns (v, sweeps, residual); starting from the previous time level
-    usually converges in a handful of sweeps.
+    The system is padded with identity rows to m = 2^k - 1 unknowns.  Each
+    level folds the rows s below and s above into every other remaining row,
+    halving the system; back-substitution then undoes the levels in reverse.
+    There is no pivoting: this is stable on strictly diagonally dominant
+    rows, which every backward-step system has.
     """
+    n = rhs.size
+    m = (1 << n.bit_length()) - 1
+    a, b, c, d = np.zeros(m), np.ones(m), np.zeros(m), np.zeros(m)
+    a[1:n], b[:n], c[:n - 1], d[:n] = lower[1:], diag, upper[:-1], rhs
+    s = 1
+    while 4 * s <= m + 1:
+        row = slice(2 * s - 1, m, 2 * s)
+        lo, hi = slice(s - 1, m - s, 2 * s), slice(3 * s - 1, m, 2 * s)
+        alpha = -a[row] / b[lo]
+        gamma = -c[row] / b[hi]
+        b[row] += alpha * c[lo] + gamma * a[hi]
+        d[row] += alpha * d[lo] + gamma * d[hi]
+        a[row] = alpha * a[lo]
+        c[row] = gamma * c[hi]
+        s *= 2
+    x = np.zeros(m + 2)  # x[j + 1] holds unknown j; both ends stay 0
+    while s >= 1:
+        i = slice(s - 1, m, 2 * s)
+        x[s:m + 1:2 * s] = (d[i] - a[i] * x[0:m + 1 - s:2 * s] - c[i] * x[2 * s::2 * s]) / b[i]
+        s //= 2
+    return x[1:n + 1]
+
+
+def _howard(lower, diag, upper, rhs, psi, v0, where):
+    """Policy iteration for the tridiagonal LCP min(v - psi, A v - rhs) = 0.
+
+    Starts from max(v0, psi), returned as is when it already solves the
+    problem to round-off.  Otherwise each iteration solves the linear system
+    of the current stop set (identity rows with v = psi) and its complement
+    (rows of A), then re-picks the stop set; a node changes side only when
+    the other choice wins by more than the round-off level ``tie``, so ties
+    cannot make the policy cycle.  On an M-matrix the iteration settles in at
+    most n steps on the exact discrete solution (Bokanowski, Maroso & Zidani
+    2009).  Returns (v, iterations, residual).
+    """
+    tie = 1e-12 * (1.0 + float(np.max(np.abs(rhs))))
     v = np.maximum(v0, psi)
-    m = v.size
-
-    def residual(vcur):
-        return float(np.max(np.abs(np.minimum(vcur - psi, _tridiag_apply(lower, diag, upper, vcur) - rhs))))
-
-    res = residual(v)
-    if res <= tol:
+    gap, slack = v - psi, _tridiag_apply(lower, diag, upper, v) - rhs
+    res = float(np.max(np.abs(np.minimum(gap, slack))))
+    if res <= tie:
         return v, 0, res
-
-    res0 = res
-    res_prev = res
-    stalls = 0
-    left = np.empty_like(v)
-    right = np.empty_like(v)
-    for sweep in range(1, max_sweeps + 1):
-        for start in (0, 1):
-            left[0] = 0.0
-            left[1:] = lower[1:] * v[:-1]
-            right[-1] = 0.0
-            right[:-1] = upper[:-1] * v[1:]
-            gs = (rhs - left - right) / diag
-            sl = slice(start, m, 2)
-            v[sl] = np.maximum(psi[sl], (1.0 - omega) * v[sl] + omega * gs[sl])
-        res = residual(v)
-        if res <= tol:
-            return v, sweep, res
-        if omega > 1.0:
-            # over-relaxation can cycle on an active obstacle with a
-            # nonsymmetric matrix; plain projected Gauss-Seidel is provably
-            # convergent for M-matrix complementarity problems
-            if res > 10.0 * res0:
-                omega = 1.0
-                v = np.maximum(v0, psi)
-                res = res0 = residual(v)
-            else:
-                stalls = stalls + 1 if res > 0.9 * res_prev else 0
-                if stalls >= 5:
-                    omega = 1.0
-        res_prev = res
-    raise SolverError(
-        f"projected SOR did not reach residual {tol:g} in {max_sweeps} sweeps "
-        f"({where}); worst residual {res:g}"
-    )
+    stop = gap <= slack
+    for it in range(1, rhs.size + 2):
+        v = _tridiag_solve(np.where(stop, 0.0, lower), np.where(stop, 1.0, diag),
+                           np.where(stop, 0.0, upper), np.where(stop, psi, rhs))
+        gap, slack = v - psi, _tridiag_apply(lower, diag, upper, v) - rhs
+        new_stop = np.where(stop, slack >= -tie, gap < -tie)
+        if np.array_equal(new_stop, stop):
+            return v, it, float(np.max(np.abs(np.minimum(gap, slack))))
+        stop = new_stop
+    raise SolverError(f"policy iteration did not settle in {rhs.size + 1} iterations ({where})")
 
 
 def _step_theta(theta: float, rannacher: bool, k: int, nt: int) -> float:
@@ -251,14 +244,14 @@ def _backward_steps(disc: Discretization, theta: float, rannacher: bool, v: np.n
 
 
 def solve_backward(problem: ValidatedProblem, grid: Grid, theta: float = 0.5, *,
-                   psor_tol: float = PSOR_TOL, max_sweeps: int = PSOR_MAX_SWEEPS,
                    rannacher: bool = True) -> ValueSurface:
     """Solve the obstacle problem backward from the terminal reward.
 
-    The terminal slice equals the obstacle exactly; every earlier slice is
-    the projected theta-scheme step, so v >= obstacle holds at every node by
-    construction.  The obstacle is the validated sample of the terminal
-    reward; spatial edges carry Dirichlet values equal to it.
+    The terminal slice equals the obstacle exactly; every earlier slice solves
+    the theta-scheme step's complementarity problem, so v equals the obstacle
+    on stop nodes and is at least the obstacle, to round-off, elsewhere.  The
+    obstacle is the validated sample of the terminal reward; spatial edges
+    carry Dirichlet values equal to it.
     """
     disc = problem.samples_on(grid)
     ts = grid.t_nodes
@@ -268,22 +261,16 @@ def solve_backward(problem: ValidatedProblem, grid: Grid, theta: float = 0.5, *,
     v[-1] = psi[-1]
     v[:, 0] = psi[:, 0]
     v[:, -1] = psi[:, -1]
-    sweeps = np.zeros(grid.nt, dtype=int)
+    iterations = np.zeros(grid.nt, dtype=int)
     worst_res = 0.0
     for k, lower, diag, upper, rhs in _backward_steps(disc, theta, rannacher, v):
-        omega = _auto_omega(lower, diag, upper, grid.nx - 1)
-        v_int, sw, res = _psor(
-            lower, diag, upper, rhs, psi[k][1:-1],
-            np.maximum(v[k + 1, 1:-1], psi[k][1:-1]),
-            omega, psor_tol, max_sweeps, where=f"t={ts[k]:.6g}",
-        )
-        v[k, 1:-1] = v_int
-        sweeps[k] = sw
+        v[k, 1:-1], iterations[k], res = _howard(lower, diag, upper, rhs, psi[k][1:-1],
+                                                 v[k + 1, 1:-1], where=f"t={ts[k]:.6g}")
         worst_res = max(worst_res, res)
 
     tol_contact = 1e-7 * (1.0 + float(np.max(np.abs(psi))))
     mask = (v - psi) <= tol_contact
-    meta = SchemeMeta(theta=theta, rannacher=rannacher, psor_sweeps=sweeps,
+    meta = SchemeMeta(theta=theta, rannacher=rannacher, psor_sweeps=iterations,
                       psor_worst_residual=worst_res)
     return ValueSurface(grid=grid, v=v, obstacle=psi, exercise_mask=mask,
                         tol_contact=tol_contact, problem=problem, meta=meta)
@@ -332,14 +319,16 @@ def unflip_surface(surface: ValueSurface, original) -> ValueSurface:
 
     ``original`` is the original problem, validated or as a spec.  Its
     samples are the solved ones reflected (``reflect_problem``), not a fresh
-    sampling, and negation mirrors the grid nodes bit for bit.
+    sampling, and negation mirrors the grid nodes bit for bit.  The obstacle
+    is the reflected sample of g, a view that stays one broadcast row for a
+    time-independent reward.
     """
     spec = original.spec if isinstance(original, ValidatedProblem) else original
     problem = reflect_problem(surface.problem, spec, surface.grid)
     return ValueSurface(
         grid=problem.disc.grid,
         v=surface.v[:, ::-1].copy(),
-        obstacle=surface.obstacle[:, ::-1].copy(),
+        obstacle=problem.disc.g,
         exercise_mask=surface.exercise_mask[:, ::-1].copy(),
         tol_contact=surface.tol_contact,
         problem=problem,

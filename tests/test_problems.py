@@ -32,7 +32,6 @@ class TestValidate:
     def test_constant_drift_no_warnings(self):
         spec = _spec(drift="0.7")
         out = sl.validate_problem(spec, _grid())
-        assert out.lipschitz_estimate == 0.0
         assert out.warnings == ()
 
     def test_bridge_blowup_warning(self):
@@ -45,7 +44,6 @@ class TestValidate:
         )
         out = sl.validate_problem(spec, _grid(t_end=1.0 - 1e-3))
         assert any("grows unboundedly as t -> T" in w for w in out.warnings)
-        assert np.isfinite(out.lipschitz_estimate)
 
     def test_negative_sigma_rejected(self):
         spec = _spec(sigma="-1")
@@ -68,11 +66,6 @@ class TestValidate:
         spec = _spec(terminal="sqrt(x)", orientation=Orientation.UPPER)
         with pytest.raises(ValidationError, match=r"terminal reward .* x=-0\.2"):
             sl.validate_problem(sl.flip_orientation(spec), _grid())
-
-    def test_lipschitz_estimate_linear_drift(self):
-        spec = _spec(drift="3*x")
-        out = sl.validate_problem(spec, _grid())
-        assert out.lipschitz_estimate == pytest.approx(3.0, rel=1e-9)
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValidationError):

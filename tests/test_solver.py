@@ -1,13 +1,18 @@
 """Obstacle-problem solver: grids, exactness cases, boundaries, residuals."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stoplab as sl
 from stoplab.filtering import brownian_bridge_drift
 from stoplab.grids import GridError
+from stoplab.pipeline import prepare_problem
 from stoplab.problems import Orientation, StateSpace
-from stoplab.solver import NEG_INF, POS_INF
+from stoplab.solver import NEG_INF, POS_INF, _backward_steps, _howard, _tridiag_solve
 
 
 def _spec(drift="0", sigma="1", terminal="x", horizon=1.0, **kw):
@@ -202,3 +207,69 @@ class TestResidualAndConvergence:
             values.append(surf.v[0, j])
         first, second = abs(values[1] - values[0]), abs(values[2] - values[1])
         assert second <= max(first, 1e-9)
+
+
+def _dense(lower, diag, upper):
+    return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+
+
+def _step_matrix(rng, n):
+    """A random backward-step matrix: I - c L with L's rows summing to zero, off-diagonals >= 0."""
+    lo, up = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 3.0, n)
+    return -lo, 1.0 + lo + up, -up
+
+
+def _brute_force_lcp(A, rhs, psi):
+    """The solution of min(v - psi, A v - rhs) = 0 by trying all 2^n stop sets densely."""
+    n = rhs.size
+    best, best_err = None, np.inf
+    for stop in itertools.product((False, True), repeat=n):
+        stop = np.array(stop)
+        M = np.where(stop[:, None], np.eye(n), A)
+        v = np.linalg.solve(M, np.where(stop, psi, rhs))
+        slack = A @ v - rhs
+        # feasibility and complementarity; the exact stop set leaves only round-off
+        err = max(np.max(psi - v), np.max(-slack), np.max(np.abs(np.minimum(v - psi, slack))))
+        if err < best_err:
+            best, best_err = v, err
+    return best
+
+
+class TestLinearAlgebra:
+    def test_tridiag_solve_matches_dense_solve(self):
+        # every n from 1 to 70 covers 2^k - 1, 2^k and 2^k + 1 unknowns
+        rng = np.random.default_rng(5)
+        for n in range(1, 71):
+            lower, upper = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+            diag = rng.choice((-1.0, 1.0), n) * (np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n))
+            rhs = rng.normal(size=n)
+            # entries beyond the band are ignored
+            lower[0], upper[-1] = np.nan, np.nan
+            x = _tridiag_solve(lower, diag, upper, rhs)
+            exact = np.linalg.solve(_dense(lower, diag, upper), rhs)
+            assert np.max(np.abs(x - exact)) <= 1e-13 * (1.0 + np.max(np.abs(exact))), n
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_howard_matches_brute_force_lcp(self, n, seed):
+        rng = np.random.default_rng(seed)
+        lower, diag, upper = _step_matrix(rng, n)
+        psi, rhs, v0 = rng.normal(size=n), rng.normal(size=n), rng.normal(size=n)
+        v, iterations, _ = _howard(lower, diag, upper, rhs, psi, v0, where="test")
+        exact = _brute_force_lcp(_dense(lower, diag, upper), rhs, psi)
+        assert iterations <= n + 1
+        assert np.max(np.abs(v - exact)) <= 1e-12 * (1.0 + np.max(np.abs(exact)))
+
+    @pytest.mark.parametrize("name", list(sl.builtin_examples()))
+    def test_gallery_complementarity_residual_at_round_off(self, name):
+        cfg = sl.builtin_examples()[name]
+        cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, nt=50, nx=50))
+        _, problem = prepare_problem(cfg)
+        surf = sl.solve_backward(problem, problem.disc.grid, theta=cfg.grid.theta)
+        psi = surf.obstacle
+        for k, lower, diag, upper, rhs in _backward_steps(problem.disc, surf.meta.theta,
+                                                          surf.meta.rannacher, surf.v):
+            v = surf.v[k, 1:-1]
+            slack = _dense(lower, diag, upper) @ v - rhs
+            res = np.max(np.abs(np.minimum(v - psi[k, 1:-1], slack)))
+            assert res <= 1e-12 * (1.0 + np.max(np.abs(rhs))), (k, res)
