@@ -96,9 +96,7 @@ class Prior:
         if self.kind is PriorKind.TWO_POINT:
             return (np.array([self.p, 1.0 - self.p]), np.array([self.low, self.high]))
         if self.kind is PriorKind.GAUSSIAN:
-            from scipy.special import roots_hermite
-
-            u, w = roots_hermite(n_gauss)
+            u, w = np.polynomial.hermite.hermgauss(n_gauss)
             y = self.mean + math.sqrt(2.0 * self.variance) * u
             return (w / math.sqrt(math.pi), y)
         w = np.array([a[0] for a in self.atoms], dtype=float)

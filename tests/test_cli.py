@@ -1,6 +1,7 @@
 """End-to-end CLI runs, artifact formats, exit codes, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -10,7 +11,7 @@ import pytest
 import stoplab.cli
 from stoplab.checks import CHECKS, FIELDS
 from stoplab.cli import main
-from stoplab.config import loads_config
+from stoplab.config import loads_config, save_config_text
 from stoplab.grids import Grid
 from stoplab.pipeline import _fmt_float, export_paths_csv, export_surface, run_problem
 from stoplab.problems import discretize
@@ -342,7 +343,7 @@ directory = out
 """
 
 
-def test_upper_run_samples_coefficients_once(monkeypatch):
+def test_upper_run_samples_coefficients_once(tmp_path, monkeypatch):
     import stoplab.pipeline as pipeline
 
     validations = []
@@ -368,7 +369,7 @@ def test_upper_run_samples_coefficients_once(monkeypatch):
 
     monkeypatch.setattr(pipeline, "validate_problem", counting_validate)
     monkeypatch.setattr(pipeline, "build_problem", counting_build)
-    art = run_problem(loads_config(UPPER_CONFIG))
+    art = run_problem(loads_config(UPPER_CONFIG), out_dir=str(tmp_path))
     assert art.exit_ok
     assert len(validations) == 1
     assert len(drift_rows) <= art.surface.grid.nt + 1
@@ -376,12 +377,12 @@ def test_upper_run_samples_coefficients_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["brownian_bridge_exp", "brownian_bridge_linear_flipped",
                                   "ou_time_mean"])
-def test_reflected_samples_equal_original_frame_resampling(name):
+def test_reflected_samples_equal_original_frame_resampling(tmp_path, name):
     cfg = sl.builtin_examples()[name]
     assert cfg.problem.orientation == "upper"
     cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, nt=50, nx=50),
                               simulation=None)
-    art = run_problem(cfg)
+    art = run_problem(cfg, out_dir=str(tmp_path))
     fresh = discretize(art.problem.spec, art.surface.grid)
     assert np.array_equal(art.problem.disc.mu, fresh.mu)
     assert np.array_equal(art.problem.disc.g, fresh.g)
@@ -463,7 +464,32 @@ def test_check_command_matches_solve_bit_for_bit(tmp_path, monkeypatch, name):
     printed = []
     monkeypatch.setattr(stoplab.cli, "_print_reports", printed.extend)
     main(["check", path])
-    solved = run_problem(cfg).reports
+    solved = run_problem(cfg, out_dir=str(tmp_path)).reports
     assert [r.check_name for r in printed] == list(field_checks)
     assert [(r.worst_violation, r.witness) for r in printed] == \
         [(r.worst_violation, r.witness) for r in solved]
+
+
+# sha256 of the canonical config.cfg text: it is the run_id and config_digest
+# of every run, so these bytes must not move
+CONFIG_CFG_SHA256 = {
+    "bm_time_drift": "416c5d6a3e5f7419aa53568a62e825b2f92c5cba9ba17edb92e6dcbdff4fee6a",
+    "gbm_time_drift": "ca4ec72508fc48a371d3ef7cbcfccd93219a55f55a7b62a7caea3a084744a17d",
+    "brownian_bridge_exp": "e3c826c3ca856208ae6f8f6177255ae6a86892fd1c46dc5effdbf19c759bcac3",
+    "brownian_bridge_linear_flipped":
+        "800960e56957647a90ac9e358909d4f270cea3ba2b59685746e585f0c6cecbf4",
+    "two_point_filtering": "7453909043821469e8d96d1cdb01610095d8b373686e6716bfda3ceb57c27e05",
+    "ou_time_mean": "3ed07d3fc8a50fa4642f8371a0bb354f0e9425c11a7d6edef5c75fe20b91b42e",
+    "FAST_CONFIG": "d54fd3bf7f347edcc53e1f60b9f7ef05224e88b302b2a06f019860b16eb41c49",
+    "UPPER_CONFIG": "02805f539f655a83ddb1680077db1a0f960ce872011fa109a0f66f1169d9af15",
+    "HALF_LINE_LSMC_CONFIG": "e7fc211b9e52ffa2794a42ff3a703b5302c1e84af3bada4568af00a7b9427ffd",
+}
+
+
+def test_config_cfg_bytes_pinned():
+    configs = dict(sl.builtin_examples())
+    configs.update(FAST_CONFIG=loads_config(FAST_CONFIG), UPPER_CONFIG=loads_config(UPPER_CONFIG),
+                   HALF_LINE_LSMC_CONFIG=loads_config(HALF_LINE_LSMC_CONFIG))
+    digests = {name: hashlib.sha256(save_config_text(configs[name]).encode()).hexdigest()
+               for name in CONFIG_CFG_SHA256}
+    assert digests == CONFIG_CFG_SHA256

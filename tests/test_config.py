@@ -1,9 +1,21 @@
 """Config parsing, validation errors, and the built-in example gallery."""
 
-import pytest
+import dataclasses
+import os
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stoplab.checks import CHECKS
 from stoplab.config import (
+    KEYS,
     ConfigError,
+    GridConfig,
+    OutputConfig,
+    ProblemConfig,
+    RunConfig,
+    SimulationConfig,
     builtin_examples,
     load_config,
     loads_config,
@@ -119,3 +131,115 @@ def test_builtin_examples_roundtrip(tmp_path):
 def test_save_text_is_stable():
     cfg = builtin_examples()["bm_time_drift"]
     assert save_config_text(cfg) == save_config_text(cfg)
+
+
+def test_lsmc_off_start_point_roundtrips():
+    # dump_paths starts at (lsmc_t, lsmc_x) whether or not lsmc runs, so
+    # config.cfg must keep both
+    text = MINIMAL.replace("seed = 42", "seed = 42\nlsmc_t = 0.5\nlsmc_x = -1.0\ndump_paths = true")
+    cfg = loads_config(text)
+    assert not cfg.simulation.lsmc
+    assert loads_config(save_config_text(cfg)) == cfg
+
+
+# ---------------------------------------------------------------------------
+# round trip of every valid config through its canonical text
+
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_T_ONLY = st.sampled_from(["1 - t", "exp(-t)", "t^2 - T", "0.5"])
+_ANY_EXPR = st.sampled_from(["x", "exp(x)", "t*x - 1", "-x/(T - t)", "max(x, 0)"])
+
+# a valid value for every key that save_config_text writes only when it
+# differs from its default
+_OPTIONAL = {
+    "problem": {
+        "drift": _ANY_EXPR, "drift_family": st.sampled_from(
+            ["bm_time_drift", "gbm", "brownian_bridge", "ou_time_mean", "filtering"]),
+        "mu_t": _T_ONLY, "gamma_t": _T_ONLY, "mean_t": _T_ONLY,
+        "pin": _FLOAT, "rate": _FLOAT, "p": _FLOAT, "low": _FLOAT, "high": _FLOAT,
+        "prior_mean": _FLOAT, "prior_var": _FLOAT,
+        "prior": st.sampled_from(["two_point", "gaussian"]),
+        "running": _ANY_EXPR, "reduce": st.booleans(), "pole_at_horizon": st.booleans(),
+    },
+    "grid": {"x_ref": _FLOAT},
+    "simulation": {
+        "couplings": st.lists(st.tuples(_FLOAT, _FLOAT, _FLOAT), min_size=1, max_size=2).map(tuple),
+        "lsmc": st.booleans(), "lsmc_degree": st.integers(0, 9), "lsmc_t": _FLOAT,
+        "lsmc_x": _FLOAT, "dump_paths": st.booleans(), "c_ord": _FLOAT,
+    },
+    "checks": {"checks": st.lists(st.sampled_from(sorted(CHECKS)), min_size=1, max_size=3).map(tuple)},
+}
+_ALWAYS = {
+    "problem": {"sigma", "terminal", "horizon", "state_space", "orientation"},
+    "grid": {"nt", "nx", "x_pad", "theta"},
+    "simulation": {"seed", "n_paths", "n_steps", "region"},
+    "checks": set(),
+    "output": {"directory", "formats"},
+}
+_NEEDS = {"bm_time_drift": ("mu_t",), "gbm": ("gamma_t",), "brownian_bridge": ("pin",),
+          "ou_time_mean": ("rate", "mean_t"), "filtering": ("prior",),
+          "two_point": ("p", "low", "high"), "gaussian": ("prior_mean", "prior_var")}
+_CLASSES = {"problem": ProblemConfig, "grid": GridConfig, "simulation": SimulationConfig,
+            "output": OutputConfig}
+
+
+def test_roundtrip_strategy_covers_every_field():
+    for section, cls in _CLASSES.items():
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert names == set(_OPTIONAL.get(section, {})) | _ALWAYS[section]
+
+
+@st.composite
+def _valid_configs(draw):
+    parts = {section: {} for section in _OPTIONAL}
+    for section, keys in _OPTIONAL.items():
+        for key, values in keys.items():
+            if draw(st.booleans()):
+                parts[section][key] = draw(values)
+    prob = parts["problem"]
+    # exactly one of drift / drift_family, plus what the family and prior need
+    if "drift_family" in prob:
+        prob.pop("drift", None)
+    else:
+        prob.setdefault("drift", draw(_ANY_EXPR))
+
+    def require(owner):
+        for key in _NEEDS.get(owner, ()):
+            if key not in prob:
+                prob[key] = draw(_OPTIONAL["problem"][key])
+
+    require(prob.get("drift_family"))
+    if prob.get("drift_family") == "filtering":
+        require(prob["prior"])
+    simulation = SimulationConfig(**parts["simulation"]) if draw(st.booleans()) else None
+    return RunConfig(name="config", problem=ProblemConfig(**prob), grid=GridConfig(**parts["grid"]),
+                     simulation=simulation, checks=parts["checks"].get("checks", ()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_configs())
+def test_save_then_load_is_identity(cfg):
+    assert loads_config(save_config_text(cfg)) == cfg
+
+
+# ---------------------------------------------------------------------------
+# README documents exactly the keys the parser accepts
+
+
+def test_readme_config_block_names_every_key():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    block = readme.split("## Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    documented, section = {}, None
+    for line in block.splitlines():
+        head = re.match(r"\[(\w+)\]", line)
+        if head:
+            section = head.group(1)
+            documented[section] = []
+            continue
+        entry = re.match(r"#?\s*(\w+)\s*=", line)
+        if entry:
+            documented[section].append(entry.group(1))
+    declared = {}
+    for key in KEYS:
+        declared.setdefault(key.section, []).append(key.name)
+    assert {s: sorted(k) for s, k in documented.items()} == {s: sorted(k) for s, k in declared.items()}

@@ -96,6 +96,14 @@ class TestGaussian:
             oracle = quadrature_posterior(weights, y, t, x)
             assert flt.gaussian_drift(m, var, t, x) == pytest.approx(oracle, abs=1e-8)
 
+    def test_prior_nodes_match_scipy_rule(self):
+        from scipy.special import roots_hermite
+
+        u, w = roots_hermite(200)
+        weights, locations = flt.gaussian_prior(0.3, 2.0).nodes(200)
+        np.testing.assert_allclose(locations, 0.3 + 2.0 * u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(weights, w / math.sqrt(math.pi), rtol=1e-12, atol=0)
+
     def test_magnitude_bound(self):
         for t in np.linspace(0, 10, 25):
             for x in np.linspace(-5, 5, 25):
