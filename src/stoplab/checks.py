@@ -33,18 +33,12 @@ EVERYWHERE = "everywhere"
 WHERE_DRIFT_NEGATIVE = "where_drift_negative"
 
 
-FD_NOISE_FLOOR = 5e-6  # relative noise of finite-difference second derivatives
+def _mono_tol(values: np.ndarray) -> float:
+    return 1e-12 * (1.0 + float(np.max(np.abs(values))))
 
 
-def _mono_tol(values: np.ndarray, field: ScalarField | None = None) -> float:
-    rel = 1e-12
-    if field is not None and field.regularity_note == "fd_generator":
-        rel = FD_NOISE_FLOOR
-    return rel * (1.0 + float(np.max(np.abs(values))))
-
-
-def _reward_x_monotone(rows: np.ndarray, grid: Grid, g: ScalarField) -> CheckReport:
-    tol = _mono_tol(rows, g)
+def _reward_x_monotone(rows: np.ndarray, grid: Grid) -> CheckReport:
+    tol = _mono_tol(rows)
     drops = rows[:, :-1] - rows[:, 1:]  # positive where the reward decreases
     worst = float(np.max(drops))
     if worst <= tol:
@@ -58,14 +52,14 @@ def _reward_x_monotone(rows: np.ndarray, grid: Grid, g: ScalarField) -> CheckRep
 
 def check_reward_monotone_in_state(g: ScalarField, grid: Grid) -> CheckReport:
     """Is the reward nondecreasing in the state at every probed time?"""
-    return _reward_x_monotone(sample_rows(g, grid), grid, g)
+    return _reward_x_monotone(sample_rows(g, grid), grid)
 
 
-def _drift_t_monotone(rows: np.ndarray, grid: Grid, mu: ScalarField, scope: str,
+def _drift_t_monotone(rows: np.ndarray, grid: Grid, scope: str,
                       tol_zero: float = TOL_ZERO) -> CheckReport:
     if scope not in (EVERYWHERE, WHERE_DRIFT_NEGATIVE):
         raise ValueError(f"unknown scope {scope!r}")
-    tol = _mono_tol(rows, mu)
+    tol = _mono_tol(rows)
     rises = rows[1:, :] - rows[:-1, :]  # positive where drift increases with t
     if scope == WHERE_DRIFT_NEGATIVE:
         in_region = rows[1:, :] < -tol_zero  # later point must be in the region
@@ -94,30 +88,22 @@ def check_drift_time_monotone(mu: ScalarField, grid: Grid,
     over the negative-drift region; the check is consecutive-pair, hence at
     grid scale only.
     """
-    return _drift_t_monotone(sample_rows(mu, grid), grid, mu, scope, tol_zero)
+    return _drift_t_monotone(sample_rows(mu, grid), grid, scope, tol_zero)
 
 
-def _running_monotone(rows: np.ndarray, grid: Grid, h: ScalarField) -> CheckReport:
-    x_part = _reward_x_monotone(rows, grid, h)
-    t_part = _drift_t_monotone(rows, grid, h, EVERYWHERE)
-    both_ok = x_part.verdict == PASS and t_part.verdict == PASS
-    if x_part.worst_violation >= t_part.worst_violation:
-        worst, witness, tol = x_part.worst_violation, x_part.witness, x_part.tolerance
-    else:
-        worst, witness, tol = t_part.worst_violation, t_part.witness, t_part.tolerance
-    return CheckReport(
-        "running_reward_monotone",
-        PASS if both_ok else FAIL,
-        worst,
-        witness,
-        tol,
-        f"x-monotone: {x_part.verdict}, t-monotone: {t_part.verdict}",
-    )
+def _running_monotone(rows: np.ndarray, grid: Grid) -> CheckReport:
+    x_part = _reward_x_monotone(rows, grid)
+    t_part = _drift_t_monotone(rows, grid, EVERYWHERE)
+    worst = max((x_part, t_part), key=lambda r: r.worst_violation)  # a tie picks x_part
+    verdict = PASS if x_part.verdict == PASS and t_part.verdict == PASS else FAIL
+    return CheckReport("running_reward_monotone", verdict, worst.worst_violation,
+                       worst.witness, worst.tolerance,
+                       f"x-monotone: {x_part.verdict}, t-monotone: {t_part.verdict}")
 
 
 def check_running_reward_monotone(h: ScalarField, grid: Grid) -> CheckReport:
     """Nondecreasing in x and nonincreasing in t, as two sub-verdicts."""
-    return _running_monotone(sample_rows(h, grid), grid, h)
+    return _running_monotone(sample_rows(h, grid), grid)
 
 
 @dataclass(frozen=True)
@@ -366,10 +352,10 @@ def _inconclusive(name: str, why: str) -> CheckReport:
 
 
 def _running_reward_check(run: CheckInputs) -> CheckReport:
-    disc, h = run.problem.disc, run.problem.spec.running_reward
-    if h is None:
+    disc = run.problem.disc
+    if disc.f is None:
         return _inconclusive("running_reward_monotone", "problem has no running reward")
-    return _running_monotone(disc.f, disc.grid, h)
+    return _running_monotone(disc.f, disc.grid)
 
 
 def _coupling_order(run: CheckInputs) -> CheckReport:
@@ -408,12 +394,11 @@ def _lsmc_cross_check(run: CheckInputs) -> CheckReport:
 # entries call by global name so that wrapping a check_* function reaches them
 CHECKS = {
     "reward_x_monotone": (FIELDS, lambda run: _reward_x_monotone(
-        run.problem.disc.g, run.problem.disc.grid, run.problem.spec.terminal_reward)),
+        run.problem.disc.g, run.problem.disc.grid)),
     "drift_time_monotone_everywhere": (FIELDS, lambda run: _drift_t_monotone(
-        run.problem.disc.mu, run.problem.disc.grid, run.problem.spec.drift, EVERYWHERE)),
+        run.problem.disc.mu, run.problem.disc.grid, EVERYWHERE)),
     "drift_time_monotone_where_drift_negative": (FIELDS, lambda run: _drift_t_monotone(
-        run.problem.disc.mu, run.problem.disc.grid, run.problem.spec.drift,
-        WHERE_DRIFT_NEGATIVE)),
+        run.problem.disc.mu, run.problem.disc.grid, WHERE_DRIFT_NEGATIVE)),
     "drift_curvature_balance": (SURFACE, lambda run: check_drift_curvature_balance(run.surface)),
     "running_reward_monotone": (FIELDS, _running_reward_check),
     "value_time_monotone": (SURFACE, lambda run: check_value_time_monotone(run.surface)),

@@ -293,6 +293,8 @@ def eval_expr(e: Expr, t: float, x: float, T: float) -> float:
             return math.sqrt(args[0])
         if e.func == "abs":
             return abs(args[0])
+        if e.func == "sign":  # internal, from diff
+            return float(np.sign(args[0]))
         if e.func == "max":
             return max(args)
         if e.func == "min":
@@ -301,51 +303,43 @@ def eval_expr(e: Expr, t: float, x: float, T: float) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+# the numpy form of every operator and function; "sign" is internal: ``diff``
+# builds it and ``parse`` does not accept it
+_NUMPY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+          "^": np.power, "pow": np.power, "max": np.maximum, "min": np.minimum,
+          "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "sign": np.sign}
+
+
 def compile_numpy(e: Expr):
     """Compile to a closure ``f(t, x, T)`` over numpy ufuncs.
 
     The compiled form is allocation-light and broadcasts over array inputs;
     it does no domain checking (NaN/inf propagate and are caught by callers
-    that care, e.g. the solver's coefficient scan).
+    that care, e.g. the solver's coefficient scan).  Numbers compile to
+    ``np.float64`` and operators to ufuncs, so constants and Python-float
+    inputs follow numpy's IEEE rules too: ``(-1)^0.5`` is NaN and ``1/0`` is
+    inf, never a complex number or an exception.
     """
     if isinstance(e, Num):
-        v = e.value
+        v = np.float64(e.value)
         return lambda t, x, T: v
     if isinstance(e, Var):
-        if e.name == "t":
-            return lambda t, x, T: t
-        if e.name == "x":
-            return lambda t, x, T: x
-        return lambda t, x, T: T
+        i = VARIABLES.index(e.name)
+        return lambda t, x, T: (t, x, T)[i]
     if isinstance(e, Neg):
         f = compile_numpy(e.operand)
         return lambda t, x, T: -f(t, x, T)
     if isinstance(e, BinOp):
-        fl = compile_numpy(e.left)
-        fr = compile_numpy(e.right)
-        op = e.op
-        if op == "+":
-            return lambda t, x, T: fl(t, x, T) + fr(t, x, T)
-        if op == "-":
-            return lambda t, x, T: fl(t, x, T) - fr(t, x, T)
-        if op == "*":
-            return lambda t, x, T: fl(t, x, T) * fr(t, x, T)
-        if op == "/":
-            return lambda t, x, T: fl(t, x, T) / fr(t, x, T)
-        return lambda t, x, T: fl(t, x, T) ** fr(t, x, T)
-    if isinstance(e, Call):
-        fns = [compile_numpy(a) for a in e.args]
-        if e.func in ("exp", "log", "sqrt", "abs"):
-            uf = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs}[e.func]
-            f0 = fns[0]
-            return lambda t, x, T: uf(f0(t, x, T))
-        f0, f1 = fns
-        if e.func == "max":
-            return lambda t, x, T: np.maximum(f0(t, x, T), f1(t, x, T))
-        if e.func == "min":
-            return lambda t, x, T: np.minimum(f0(t, x, T), f1(t, x, T))
-        return lambda t, x, T: f0(t, x, T) ** f1(t, x, T)
-    raise TypeError(f"not an expression node: {e!r}")
+        fn, args = _NUMPY[e.op], (e.left, e.right)
+    elif isinstance(e, Call):
+        fn, args = _NUMPY[e.func], e.args
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if len(args) == 1:
+        f0 = compile_numpy(args[0])
+        return lambda t, x, T: fn(f0(t, x, T))
+    f0, f1 = map(compile_numpy, args)
+    return lambda t, x, T: fn(f0(t, x, T), f1(t, x, T))
 
 
 def free_variables(e: Expr) -> set[str]:
@@ -362,6 +356,64 @@ def free_variables(e: Expr) -> set[str]:
             out |= free_variables(a)
         return out
     return set()
+
+
+# ---------------------------------------------------------------------------
+# differentiation; _sum builds + and - nodes, _mul * and /, folding zeros and ones
+
+_ZERO, _ONE = Num(0.0), Num(1.0)
+
+
+def _sum(a: Expr, b: Expr, op: str = "+") -> Expr:
+    if a == _ZERO and b != _ZERO:
+        return b if op == "+" else Neg(b)
+    return a if b == _ZERO else BinOp(op, a, b)
+
+
+def _mul(a: Expr, b: Expr, op: str = "*") -> Expr:
+    if a == _ZERO or (op == "*" and b == _ZERO):
+        return _ZERO
+    return a if b == _ONE else b if op == "*" and a == _ONE else BinOp(op, a, b)
+
+
+def diff(e: Expr, var: str) -> Expr:
+    """The partial derivative of ``e`` in ``var`` by the chain rule over the AST.
+
+    Zero terms and unit factors are folded away, so a sub-expression free of
+    ``var`` contributes nothing: ``x*sqrt(t)`` has x-derivative ``sqrt(t)``,
+    finite at t = 0.  ``a^b`` (and ``pow``) gives ``b*a^(b-1)*a'``, plus
+    ``a^b*log(a)*b'`` only when ``var`` is free in ``b``, so ``x^2`` stays
+    finite at x < 0.  ``abs``, ``max`` and ``min`` take a subgradient through
+    the internal ``sign`` node, with sign(0) = 0 and derivative 0:
+    ``abs(a)' = sign(a)*a'`` and, with s = sign(a - b),
+    ``max(a, b)' = ((1 + s)*a' + (1 - s)*b')/2`` (``min`` swaps the weights),
+    so at a kink ``abs`` has slope 0 and ``max``/``min`` the mean of the two.
+    """
+    if isinstance(e, (Num, Var)):
+        return _ONE if e == Var(var) else _ZERO
+    if isinstance(e, Neg):
+        return _sum(_ZERO, diff(e.operand, var), "-")
+    if isinstance(e, Call) and e.func in ("max", "min"):
+        (a, b), s = e.args, Call("sign", (BinOp("-", *e.args),))
+        wa, wb = BinOp("+", _ONE, s), BinOp("-", _ONE, s)
+        if e.func == "min":
+            wa, wb = wb, wa
+        return _mul(_sum(_mul(wa, diff(a, var)), _mul(wb, diff(b, var))), Num(2.0), "/")
+    if isinstance(e, Call) and e.func != "pow":
+        a, da = e.args[0], diff(e.args[0], var)
+        if e.func in ("log", "sqrt"):
+            return _mul(da, a if e.func == "log" else BinOp("*", Num(2.0), e), "/")
+        return _mul({"exp": e, "abs": Call("sign", (a,)), "sign": _ZERO}[e.func], da)
+    (a, b), op = (e.args, "^") if isinstance(e, Call) else ((e.left, e.right), e.op)
+    da, db = diff(a, var), diff(b, var)
+    if op in "+-":
+        return _sum(da, db, op)
+    if op == "*":
+        return _sum(_mul(da, b), _mul(a, db))
+    if op == "/":
+        return _mul(_sum(da, _mul(e, db), "-"), b, "/")
+    base_term = _mul(_mul(b, BinOp("^", a, BinOp("-", b, _ONE))), da)
+    return _sum(base_term, _mul(_mul(e, Call("log", (a,))), db))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -185,13 +186,9 @@ def flip_orientation(spec: ProblemSpec) -> ProblemSpec:
     mu, sig, g, f = spec.drift, spec.diffusion, spec.terminal_reward, spec.running_reward
 
     def wrap_neg(field):  # h~(t, x) = -h(t, -x)
-        if field is None:
-            return None
         return lambda t, x: -field(t, -np.asarray(x, dtype=float))
 
     def wrap_ref(field):  # h~(t, x) = h(t, -x)
-        if field is None:
-            return None
         return lambda t, x: field(t, -np.asarray(x, dtype=float))
 
     new_drift = from_callable(
@@ -200,13 +197,11 @@ def flip_orientation(spec: ProblemSpec) -> ProblemSpec:
         time_independent=mu.time_independent,
         partial_t=wrap_neg(mu.partial_t) if mu.partial_t else None,
         partial_x=wrap_ref(mu.partial_x) if mu.partial_x else None,
-        regularity_note=mu.regularity_note,
     )
     new_sigma = from_callable(
         wrap_ref(sig.evaluator),
         source=f"reflected({sig.source})",
         time_independent=True,
-        regularity_note=sig.regularity_note,
     )
 
     def wrap_reward(field):
@@ -234,58 +229,47 @@ def flip_orientation(spec: ProblemSpec) -> ProblemSpec:
     )
 
 
-def _reduction_probe_points(spec: ProblemSpec):
-    t_hi = spec.horizon * (0.999 if spec.pole_at_horizon else 1.0)
-    ts = (0.0, 0.5 * t_hi, t_hi)
-    if spec.state_space is StateSpace.POSITIVE_HALF_LINE:
-        xs = (0.5, 1.0, 2.0)
-    else:
-        xs = (-1.0, 0.0, 1.0)
-    return ts, xs
-
-
 def reduce_to_running_reward(spec: ProblemSpec) -> ProblemSpec:
     """Rewrite a terminal-reward problem in pure running-reward form.
 
     The new running reward is f + (d/dt + mu d/dx + sigma^2/2 d/dx2) applied
     to the terminal reward; the new terminal reward is zero.  The value of
     the reduced problem equals the original value minus the terminal reward,
-    pointwise, up to solver tolerance.  The terminal reward must be smooth
-    enough for its declared (or finite-difference) partials to make sense.
+    pointwise, up to solver tolerance.  The generator reads the terminal
+    reward's declared partials: exact for an expression reward, required
+    of a callable one (a missing partial is a ReductionError naming it).
     """
     g = spec.terminal_reward
     mu = spec.drift
     sig = spec.diffusion
     f = spec.running_reward
+    for name in ("partial_t", "partial_x", "partial_xx"):
+        if getattr(g, name) is None:
+            raise ReductionError(f"terminal reward {g.source or '<callable>'} declares no {name}")
 
     def h_eval(t, x):
         s = sig(0.0, x)
-        out = g.dt(t, x) + mu(t, x) * g.dx(t, x) + 0.5 * s * s * g.dxx(t, x)
+        out = g.partial_t(t, x) + mu(t, x) * g.partial_x(t, x) + 0.5 * s * s * g.partial_xx(t, x)
         if f is not None:
             out = out + f(t, x)
         return out
 
-    fd_based = g.partial_t is None or g.partial_x is None or g.partial_xx is None
-    h = from_callable(
-        h_eval,
-        source=f"generator_of({g.source})" if g.source else "generator_reduced",
-        # FD second derivatives carry an eps/step^2 noise floor (~1e-6 of the
-        # reward scale); monotonicity checks must not resolve below it
-        regularity_note="fd_generator" if fd_based else "",
-    )
+    h = from_callable(h_eval, source=f"generator_of({g.source})" if g.source
+                      else "generator_reduced")
 
-    ts, xs = _reduction_probe_points(spec)
-    for t in ts:
-        for x in xs:
-            try:
+    t_hi = spec.horizon * (0.999 if spec.pole_at_horizon else 1.0)
+    xs = (0.5, 1.0, 2.0) if spec.state_space is StateSpace.POSITIVE_HALF_LINE else (-1.0, 0.0, 1.0)
+    for t, x in itertools.product((0.0, 0.5 * t_hi, t_hi), xs):
+        try:
+            with np.errstate(all="ignore"):
                 val = h_eval(t, x)
-            except Exception as err:
-                raise ReductionError(
-                    f"reduced running reward failed at probe point (t={t}, x={x}): {err}"
-                ) from err
-            if not np.all(np.isfinite(val)):
-                raise ReductionError(
-                    f"reduced running reward is not finite at probe point (t={t}, x={x})"
-                )
+        except Exception as err:
+            raise ReductionError(
+                f"reduced running reward failed at probe point (t={t}, x={x}): {err}"
+            ) from err
+        if not np.all(np.isfinite(val)):
+            raise ReductionError(
+                f"reduced running reward is not finite at probe point (t={t}, x={x})"
+            )
 
     return replace(spec, terminal_reward=constant_field(0.0), running_reward=h)

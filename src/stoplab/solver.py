@@ -5,7 +5,7 @@ Each backward step discretizes
     min( v - g,  -(d/dt + mu d/dx + sigma^2/2 d/dx2) v - f ) = 0
 
 with a theta-scheme in time (theta = 1/2 plus two fully implicit startup
-steps to damp obstacle-kink oscillations) and Pecle-switched differencing in
+steps to damp obstacle-kink oscillations) and Peclet-switched differencing in
 space: central where |mu| dx / sigma^2 <= 2, first-order upwind otherwise,
 which keeps the system an M-matrix where advection dominates (bridge-type
 drifts near the horizon).  The per-step linear complementarity problem is

@@ -114,6 +114,12 @@ def _coupling_stats(spec, n_paths=10_000):
     return out
 
 
+@pytest.fixture(scope="module")
+def bridge_coupling_stats():
+    """The bridge's coupling statistics, shared by the slope and tolerance clauses."""
+    return _coupling_stats(_bridge_spec())
+
+
 def test_criterion_3_coupling_exact_zero_state_free_drift():
     """mu(t) = 1 - t: the coupled ordering statistic is exactly zero."""
     spec = sl.ProblemSpec(
@@ -142,9 +148,9 @@ def test_criterion_3_coupling_exact_zero_state_free_drift():
         "decisions ledger."
     ),
 )
-def test_criterion_3_coupling_slope_bridge():
+def test_criterion_3_coupling_slope_bridge(bridge_coupling_stats):
     """Bridge coupling statistic decays monotonically with slope >= 0.8."""
-    stats = _coupling_stats(_bridge_spec())
+    stats = bridge_coupling_stats
     values = [s for _, s in stats]
     print(f"bridge coupling statistics per dt: {stats}")
     assert values[0] > values[1] > values[2] > 0.0
@@ -154,9 +160,9 @@ def test_criterion_3_coupling_slope_bridge():
     assert slope >= 0.8
 
 
-def test_criterion_3_coupling_bridge_passes_tolerance():
+def test_criterion_3_coupling_bridge_passes_tolerance(bridge_coupling_stats):
     """The bridge coupling PASSes the dt-scaled ordering tolerance."""
-    stats = _coupling_stats(_bridge_spec())
+    stats = bridge_coupling_stats
     for dt, worst in stats:
         assert worst <= dt  # default tolerance is 1.0 * dt
     _ok("criterion 3 bridge coupling within tolerance",

@@ -147,6 +147,16 @@ def test_stage_error_exit_code(tmp_path, capsys):
     assert "stage" in captured.err
 
 
+@pytest.mark.parametrize("terminal", ["x + (-1)^0.5", "x + 1/(2-2)"])
+def test_nonfinite_constant_subexpression_exit_code(tmp_path, capsys, terminal):
+    # constants follow numpy's IEEE rules: NaN or inf reach validation, not a
+    # complex value cast to its real part or a bare ZeroDivisionError
+    text = FAST_CONFIG.replace('terminal = "x"', f'terminal = "{terminal}"')
+    code = main(["solve", _write(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "terminal reward is not finite at probe point (t=0.0, x=" in capsys.readouterr().err
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     text = FAST_CONFIG.replace('drift = "1 - t"', 'driftt = "1 - t"')
     code = main(["solve", _write(tmp_path, text)])

@@ -1,5 +1,7 @@
 """Problem validation, orientation reflection, and reward reduction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -117,10 +119,10 @@ class TestReduce:
         spec = _spec(drift="1 - t")
         reduced = sl.reduce_to_running_reward(spec)
         assert reduced.terminal_reward(0.3, 1.7) == 0.0
-        # fallback finite-difference d2/dx2 carries eps/step^2 ~ 2e-6 noise
+        # exact partials of g = x: the generator is the drift bit for bit
         for t in (0.0, 0.4, 0.9):
             for x in (-1.0, 0.0, 2.0):
-                assert reduced.running_reward(t, x) == pytest.approx(1 - t, abs=5e-6)
+                assert reduced.running_reward(t, x) == 1 - t
 
     def test_quadratic_reward_exact_with_declared_partials(self):
         g = sl.from_callable(
@@ -149,7 +151,7 @@ class TestReduce:
         for t in (0.0, 0.5):
             for x in (-1.0, 0.5):
                 expect = np.exp(x) * (-x / (1.0 - t) + 0.5 * 0.25)
-                assert float(reduced.running_reward(t, x)) == pytest.approx(expect, rel=1e-6)
+                assert float(reduced.running_reward(t, x)) == pytest.approx(expect, rel=1e-12)
 
     def test_generator_identity_with_declared_partials(self):
         g = sl.from_callable(
@@ -172,8 +174,25 @@ class TestReduce:
                 assert float(reduced.running_reward(t, x)) == pytest.approx(expect, rel=1e-12)
 
     def test_nonfinite_partial_rejected(self):
-        g = sl.from_callable(lambda t, x: np.log(np.abs(np.asarray(x, float))))
+        # log|x| has partials 1/x and -1/x^2, infinite at the probe x = 0
+        g = sl.from_callable(
+            lambda t, x: np.log(np.abs(np.asarray(x, float))),
+            partial_t=lambda t, x: 0.0 * np.asarray(x, float),
+            partial_x=lambda t, x: 1.0 / np.asarray(x, float),
+            partial_xx=lambda t, x: -1.0 / np.asarray(x, float) ** 2,
+        )
         spec = sl.ProblemSpec(drift=sl.constant_field(0.0), diffusion=sl.constant_field(1.0),
                               terminal_reward=g, horizon=1.0)
-        with pytest.raises(ReductionError):
+        with pytest.raises(ReductionError, match="x=0.0"):
             sl.reduce_to_running_reward(spec)
+
+    def test_missing_partial_named(self):
+        g = sl.from_callable(lambda t, x: np.sin(x), source="sin(x)",
+                             partial_x=lambda t, x: np.cos(x))
+        spec = sl.ProblemSpec(drift=sl.constant_field(0.0), diffusion=sl.constant_field(1.0),
+                              terminal_reward=g, horizon=1.0)
+        with pytest.raises(ReductionError, match="sin\\(x\\) declares no partial_t"):
+            sl.reduce_to_running_reward(spec)
+        g = replace(g, partial_t=lambda t, x: 0.0 * x)
+        with pytest.raises(ReductionError, match="declares no partial_xx"):
+            sl.reduce_to_running_reward(replace(spec, terminal_reward=g))
