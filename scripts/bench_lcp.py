@@ -4,7 +4,7 @@
 Usage:
     PYTHONPATH=src python scripts/bench_lcp.py
 
-The problem is set up once per size in the solve frame (validated, samples
+The problem is set up once per size (validated, samples
 taken); only ``solve_backward`` is timed, 5 times.  Prints one JSON line per
 size with the median, the fastest and the slowest run and the total number of
 policy iterations over the backward steps.
@@ -29,7 +29,7 @@ def main() -> int:
     cfg = builtin_examples()[MODEL]
     for n in SIZES:
         sized = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, nt=n, nx=n))
-        _, problem = prepare_problem(sized)
+        problem = prepare_problem(sized)
         seconds = []
         for _ in range(REPEATS):
             t0 = time.perf_counter()

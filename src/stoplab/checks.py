@@ -304,7 +304,7 @@ def check_value_continuity(surface: ValueSurface) -> CheckReport:
     # step; near a drift pole the per-step displacement spans many cells
     if v.shape[0] > 1:
         mu = surface.problem.samples_on(grid).mu[:-1, cols]
-        courant = np.abs(mu) * grid.dt / grid.dx
+        courant = np.abs(mu) * grid.steps[:, None] / grid.dx
         jump_t = float(np.max(np.abs(np.diff(surface.v[:, cols], axis=0)) / (1.0 + courant)))
     else:
         jump_t = 0.0
@@ -332,15 +332,13 @@ SIMULATION = "simulation"  # the coupled bundles or the LSMC estimate
 class CheckInputs:
     """What a registered check reads; a field-only run leaves the rest unset.
 
-    ``problem`` is in the original frame and sampled on the checked grid
-    (the surface grid when there is a surface); ``solve_surface`` is the
-    surface in the frame its discrete system was assembled in.
+    ``problem`` is sampled on the checked grid (the surface grid when there
+    is a surface).
     """
 
     problem: ValidatedProblem
     surface: Optional[ValueSurface] = None
     boundary: Optional[Boundary] = None
-    solve_surface: Optional[ValueSurface] = None
     couplings: tuple = ()          # CoupledBundle per configured coupling
     c_ord: float = 1.0
     lsmc: Optional[LsmcValue] = None
@@ -403,8 +401,7 @@ CHECKS = {
     "running_reward_monotone": (FIELDS, _running_reward_check),
     "value_time_monotone": (SURFACE, lambda run: check_value_time_monotone(run.surface)),
     "boundary_monotone": (SURFACE, lambda run: check_boundary_monotone(run.boundary)),
-    # the discrete system was assembled in the solve frame
-    "residual_complementarity": (SURFACE, lambda run: residual_complementarity(run.solve_surface)),
+    "residual_complementarity": (SURFACE, lambda run: residual_complementarity(run.surface)),
     "value_continuity": (SURFACE, lambda run: check_value_continuity(run.surface)),
     "coupling_order": (SIMULATION, _coupling_order),
     "lsmc_cross_check": (SIMULATION, _lsmc_cross_check),

@@ -8,7 +8,6 @@ import sys
 from .checks import CHECKS, FIELDS, CheckInputs
 from .config import ConfigError, builtin_examples, load_config
 from .pipeline import StageError, prepare_problem, run_problem
-from .problems import reflect_problem
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -67,12 +66,10 @@ def _cmd_check(args) -> int:
         print(f"error in stage 'load_config': {err}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        spec, problem = prepare_problem(cfg)
+        problem = prepare_problem(cfg)
     except StageError as err:
         print(f"error in stage {err.stage!r}: {err.cause}", file=sys.stderr)
         return EXIT_ERROR
-    if problem.spec.reflected:
-        problem = reflect_problem(problem, spec, problem.disc.grid)
 
     wanted = [name for name in cfg.checks if CHECKS[name][0] == FIELDS]
     wanted = wanted or ["reward_x_monotone", "drift_time_monotone_everywhere"]

@@ -82,7 +82,6 @@ class SimulationConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    formats: tuple[str, ...] = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,6 @@ KEYS = (
     Key("simulation", "c_ord", "float"),
     Key("checks", "run", "words", tuple(CHECKS)),
     Key("output", "directory", "str", write=ALWAYS),
-    Key("output", "formats", "words", ("csv", "json"), ALWAYS),
 )
 
 _SECTIONS = {"problem": ProblemConfig, "grid": GridConfig, "simulation": SimulationConfig,
@@ -366,10 +364,7 @@ def builtin_examples() -> dict[str, RunConfig]:
                               sigma="1", terminal="x", horizon=1.0,
                               orientation="upper"),
         grid=GridConfig(nt=400, nx=400, x_ref=0.0, x_pad=5.0),
-        # n_steps = nt - 1 puts the simulation's pole gap at the same
-        # T - T/nt the solver uses, so the two value oracles truncate the
-        # horizon identically
-        simulation=SimulationConfig(seed=20240614, n_paths=10_000, n_steps=399,
+        simulation=SimulationConfig(seed=20240614, n_paths=10_000, n_steps=400,
                                     couplings=((0.25, 0.5, 1.0),),
                                     region="where_drift_negative",
                                     lsmc=True, lsmc_degree=5, lsmc_t=0.0, lsmc_x=0.0),

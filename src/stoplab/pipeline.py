@@ -1,11 +1,9 @@
 """Run orchestration: validate -> solve -> simulate -> check -> export.
 
-Upper-boundary problems are reflected for the solver (which extracts lower
-boundaries), then the surface and boundary are mapped back, so every check
-runs in the problem's original frame.  The reflected solve plus negated
-boundary is exactly the original upper boundary.  The coefficients are
-sampled once per run, in the solve frame, by ``validate_problem``; the
-original-frame samples are those reflected, which is exact.
+Every problem, lower or upper boundary, is solved, simulated and checked on
+the user's axis: the discrete obstacle problem has no side, and
+``extract_boundary`` reads either orientation.  The coefficients are sampled
+once per run by ``validate_problem``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from .problems import (
     ProblemSpec,
     StateSpace,
     ValidatedProblem,
-    flip_orientation,
     reduce_to_running_reward,
     reference_state,
     validate_problem,
@@ -50,8 +47,6 @@ from .solver import (
     extract_boundary,
     residual_complementarity,
     solve_backward,
-    unflip_boundary,
-    unflip_surface,
     value_at,
 )
 
@@ -67,9 +62,9 @@ class StageError(RuntimeError):
 class RunArtifacts:
     config: RunConfig
     run_id: str
-    problem: ValidatedProblem            # original frame
-    surface: ValueSurface                # original frame
-    boundary: Boundary                   # original frame
+    problem: ValidatedProblem
+    surface: ValueSurface
+    boundary: Boundary
     reports: list[CheckReport]
     warnings: tuple[str, ...]
     timings: dict[str, float] = field(default_factory=dict)
@@ -140,37 +135,27 @@ def _stage(timings: dict[str, float], stage: str):
 
 
 def prepare_problem(cfg: RunConfig, refine: int = 0, timings: Optional[dict[str, float]] = None
-                    ) -> tuple[ProblemSpec, ValidatedProblem]:
+                    ) -> ValidatedProblem:
     """The set-up shared by ``solve`` and ``check``: stages build_problem, prepare, validate.
 
     Returns the problem on the user's axis, reduced to a running reward when
-    the config asks, and the problem validated in the solve frame: reflected
-    (``spec.reflected``) for an upper boundary, with the grid's nt and nx
+    the config asks, validated on its grid, with the grid's nt and nx
     doubled ``refine`` times and the coefficients sampled once.  Any error
     is raised as a StageError naming its stage.
     """
     timings = {} if timings is None else timings
     grid_cfg = cfg.grid
     with _stage(timings, "build_problem"):
-        original_spec = build_problem(cfg.problem)
+        spec = build_problem(cfg.problem)
 
-    flipped = original_spec.orientation is Orientation.UPPER
     with _stage(timings, "prepare"):
-        spec = reduce_to_running_reward(original_spec) if cfg.problem.reduce else original_spec
-        solve_spec = spec
-        if flipped:
-            solve_spec = flip_orientation(original_spec)
-            if cfg.problem.reduce:
-                solve_spec = reduce_to_running_reward(solve_spec)
-        solve_ref = None if grid_cfg.x_ref is None else (
-            -grid_cfg.x_ref if flipped else grid_cfg.x_ref
-        )
-        solve_grid = build_grid(solve_spec, grid_cfg.x_pad, grid_cfg.nt * 2 ** refine,
-                                grid_cfg.nx * 2 ** refine, x_ref=solve_ref)
+        if cfg.problem.reduce:
+            spec = reduce_to_running_reward(spec)
+        grid = build_grid(spec, grid_cfg.x_pad, grid_cfg.nt * 2 ** refine,
+                          grid_cfg.nx * 2 ** refine, x_ref=grid_cfg.x_ref)
 
     with _stage(timings, "validate"):
-        solved = validate_problem(solve_spec, solve_grid)
-    return spec, solved
+        return validate_problem(spec, grid)
 
 
 def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
@@ -187,22 +172,11 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
     if seed_override is not None and sim_cfg is not None:
         sim_cfg = replace(sim_cfg, seed=seed_override)
 
-    spec, solve_problem = prepare_problem(cfg, refine, timings)
-    flipped = solve_problem.spec.reflected
+    problem = prepare_problem(cfg, refine, timings)
 
     with _stage(timings, "solve"):
-        solve_surface = solve_backward(solve_problem, solve_problem.disc.grid,
-                                       theta=grid_cfg.theta)
-        solve_boundary = extract_boundary(solve_surface)
-
-    with _stage(timings, "unflip"):
-        if flipped:
-            surface = unflip_surface(solve_surface, spec)
-            boundary = unflip_boundary(solve_boundary)
-        else:
-            surface = solve_surface
-            boundary = solve_boundary
-        check_problem = surface.problem
+        surface = solve_backward(problem, problem.disc.grid, theta=grid_cfg.theta)
+        boundary = extract_boundary(surface)
 
     couplings = []
     lsmc_result = None
@@ -210,33 +184,32 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
     x0 = None
     if sim_cfg is not None:
         x0 = sim_cfg.lsmc_x if sim_cfg.lsmc_x is not None else \
-            reference_state(spec, grid_cfg.x_ref)
+            reference_state(problem.spec, grid_cfg.x_ref)
         with _stage(timings, "simulate"):
             if sim_cfg.couplings:
                 region = (
                     everywhere_region()
                     if sim_cfg.region == "everywhere"
-                    else negative_drift_region(check_problem.spec.drift)
+                    else negative_drift_region(problem.spec.drift)
                 )
                 for i, (u, t, x) in enumerate(sim_cfg.couplings):
-                    cb = simulate_coupled(check_problem, t, u, x, region,
+                    cb = simulate_coupled(problem, t, u, x, region,
                                           sim_cfg.n_paths, sim_cfg.n_steps,
                                           sim_cfg.seed + i)
                     couplings.append(cb)
             if sim_cfg.dump_paths:
-                bundles["paths"] = simulate_paths(check_problem, sim_cfg.lsmc_t, x0,
+                bundles["paths"] = simulate_paths(problem, sim_cfg.lsmc_t, x0,
                                                   sim_cfg.n_paths, sim_cfg.n_steps,
                                                   sim_cfg.seed)
             if sim_cfg.lsmc:
-                solve_x0 = -x0 if flipped else x0
-                lsmc_result = value_lsmc(solve_problem, sim_cfg.lsmc_t, solve_x0,
+                lsmc_result = value_lsmc(problem, sim_cfg.lsmc_t, x0,
                                          sim_cfg.n_paths, sim_cfg.n_steps,
                                          sim_cfg.lsmc_degree, sim_cfg.seed)
 
     with _stage(timings, "checks"):
         inputs = CheckInputs(
-            problem=check_problem, surface=surface, boundary=boundary,
-            solve_surface=solve_surface, couplings=tuple(couplings),
+            problem=problem, surface=surface, boundary=boundary,
+            couplings=tuple(couplings),
             c_ord=sim_cfg.c_ord if sim_cfg is not None else 1.0, lsmc=lsmc_result,
             lsmc_point=None if sim_cfg is None else (sim_cfg.lsmc_t, x0),
         )
@@ -246,11 +219,11 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
     artifacts = RunArtifacts(
         config=cfg,
         run_id=run_id,
-        problem=check_problem,
+        problem=problem,
         surface=surface,
         boundary=boundary,
         reports=reports,
-        warnings=check_problem.warnings,
+        warnings=problem.warnings,
         timings=timings,
         lsmc=lsmc_result,
     )
@@ -382,7 +355,7 @@ def summary_text(artifacts: RunArtifacts) -> str:
     if artifacts.boundary.non_separated:
         lines.append(
             f"warning: {len(artifacts.boundary.non_separated)} time slices are not "
-            "separated into stop-below / continue-above"
+            "separated into one stopping and one continuation interval"
         )
     if artifacts.lsmc is not None:
         lines.append(

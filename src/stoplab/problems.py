@@ -41,9 +41,11 @@ class ProblemSpec:
 
     The diffusion coefficient must depend on x only (its evaluator ignores
     t by contract).  ``pole_at_horizon`` marks drifts that blow up as
-    t approaches the horizon, e.g. bridge pulls; grids and simulations then
-    stop a small offset before the horizon.  ``reflected`` marks a spec made
-    by ``flip_orientation``, whose x axis is the user's axis negated.
+    t approaches the horizon, e.g. bridge pulls; the time nodes of grids and
+    simulations are then graded toward the horizon and stop short of it
+    (``grids.time_nodes``).  Both orientations are solved on the user's axis;
+    ``reflected`` marks a spec made by ``flip_orientation``, whose x axis is
+    the user's axis negated.
     """
 
     drift: ScalarField
@@ -166,7 +168,8 @@ def reflect_problem(problem: ValidatedProblem, spec: ProblemSpec, grid: Grid) ->
     bit for bit.  The warnings are kept.
     """
     d = problem.samples_on(grid)
-    new_grid = Grid(t_nodes=d.grid.t_nodes.copy(), x_nodes=(-d.grid.x_nodes[::-1]).copy())
+    new_grid = replace(d.grid, t_nodes=d.grid.t_nodes.copy(),
+                       x_nodes=(-d.grid.x_nodes[::-1]).copy())
     disc = Discretization(grid=new_grid, mu=-d.mu[:, ::-1], sigma=d.sigma[::-1],
                           g=d.g[:, ::-1], f=None if d.f is None else d.f[:, ::-1])
     return replace(problem, spec=spec, disc=disc)

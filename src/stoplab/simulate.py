@@ -6,9 +6,11 @@ seed; the (path, step) increment table is a pure function of
 bit-identical bundles regardless of how post-processing is parallelised.
 
 Positive-half-line problems are simulated in log coordinates so paths stay
-strictly positive.  Drifts with a pole at the horizon are simulated on a
-grid that stops max(dt, 1e-6*T) before it; the terminal reward is then read
-there, with an O(sqrt(gap)) horizon error.
+strictly positive.  Paths step on the solver's time rule
+(``grids.time_nodes``): with a drift pole at the horizon the steps are graded
+toward it and the last node sits (T - t)/(n_steps + 1)^2 before it, so an
+LSMC run with n_steps = nt exercises on the solver's own nodes.  Couplings
+keep a uniform step, ending at the same last node.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .grids import time_nodes, time_steps
 from .problems import StateSpace, ValidatedProblem
 from .reports import CheckReport, FAIL, PASS
 
@@ -31,9 +34,9 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PathBundle:
-    start_time: float
+    t_nodes: np.ndarray      # (n_steps + 1,)
+    steps: np.ndarray        # (n_steps,) size of each step
     start_state: float
-    dt: float
     states: np.ndarray       # (n_paths, n_steps + 1)
     seed: int
     scheme: str
@@ -47,8 +50,17 @@ class PathBundle:
     def n_steps(self) -> int:
         return self.states.shape[1] - 1
 
+    @property
+    def start_time(self) -> float:
+        return float(self.t_nodes[0])
+
+    @property
+    def dt(self) -> float:
+        """The first step, the only one of a uniform bundle."""
+        return float(self.steps[0])
+
     def times(self) -> np.ndarray:
-        return self.start_time + self.dt * np.arange(self.n_steps + 1)
+        return self.t_nodes
 
 
 @dataclass(frozen=True)
@@ -92,28 +104,22 @@ def _increments(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     return gen.standard_normal((n_paths, n_steps))
 
 
-def _sim_window(spec, t: float, n_steps: int):
-    if spec.pole_at_horizon:
-        # leave a gap max(dt, 1e-6*T) before the pole; with the dt-sized gap
-        # the window solves to (T - t) / (n_steps + 1) exactly
-        dt_guess = (spec.horizon - t) / (n_steps + 1)
-        gap = max(dt_guess, 1e-6 * spec.horizon)
-        dt = (spec.horizon - t - gap) / n_steps
-    else:
-        dt = (spec.horizon - t) / n_steps
-    if not (dt > 0):
+def _window(spec, t: float, n_steps: int) -> np.ndarray:
+    """The simulation's time nodes from t, by the solver's rule."""
+    if not (t < spec.horizon):
         raise SimulationError(
             f"start time {t} leaves no simulation window before the horizon {spec.horizon}"
         )
-    return dt
+    return time_nodes(t, spec.horizon, n_steps, spec.pole_at_horizon)
 
 
-def _run_euler(spec, t: float, x: float, z: np.ndarray, dt: float, scheme: str):
+def _run_euler(spec, times: np.ndarray, steps: np.ndarray, x: float, z: np.ndarray,
+               scheme: str):
     n_paths, n_steps = z.shape
     states = np.empty((n_paths, n_steps + 1))
     states[:, 0] = x
     poisoned = np.zeros(n_paths, dtype=bool)
-    sqdt = np.sqrt(dt)
+    sqdt = np.sqrt(steps)
     mu = spec.drift
     sigma = spec.diffusion
 
@@ -123,17 +129,17 @@ def _run_euler(spec, t: float, x: float, z: np.ndarray, dt: float, scheme: str):
         logx = np.full(n_paths, np.log(x))
     cur = states[:, 0].copy()
     for k in range(n_steps):
-        tk = t + k * dt
+        tk, dt = times[k], steps[k]
         with np.errstate(all="ignore"):
             if scheme == LOG_EULER:
                 s = np.asarray(sigma(0.0, cur), dtype=float)
                 drift_term = np.asarray(mu(tk, cur), dtype=float) / cur - 0.5 * (s / cur) ** 2
-                step = drift_term * dt + (s / cur) * sqdt * z[:, k]
+                step = drift_term * dt + (s / cur) * sqdt[k] * z[:, k]
                 logx = np.where(poisoned, logx, logx + step)
                 nxt = np.exp(logx)
             else:
                 s = np.asarray(sigma(0.0, cur), dtype=float)
-                nxt = cur + np.asarray(mu(tk, cur), dtype=float) * dt + s * sqdt * z[:, k]
+                nxt = cur + np.asarray(mu(tk, cur), dtype=float) * dt + s * sqdt[k] * z[:, k]
         bad = ~np.isfinite(nxt)
         if bad.any():
             nxt = np.where(bad, cur, nxt)   # freeze poisoned paths at last good state
@@ -152,10 +158,11 @@ def simulate_paths(problem: ValidatedProblem, t: float, x: float, n_paths: int,
         raise SimulationError(f"need n_steps >= 1, got {n_steps}")
     if scheme is None:
         scheme = LOG_EULER if spec.state_space is StateSpace.POSITIVE_HALF_LINE else EULER
-    dt = _sim_window(spec, t, n_steps)
+    times = _window(spec, t, n_steps)
+    steps = time_steps(times, spec.pole_at_horizon)
     z = _increments(seed, n_paths, n_steps)
-    states, poisoned = _run_euler(spec, t, x, z, dt, scheme)
-    return PathBundle(start_time=t, start_state=x, dt=dt, states=states,
+    states, poisoned = _run_euler(spec, times, steps, x, z, scheme)
+    return PathBundle(t_nodes=times, steps=steps, start_state=x, states=states,
                       seed=seed, scheme=scheme, poisoned=poisoned)
 
 
@@ -172,33 +179,35 @@ def simulate_coupled(problem: ValidatedProblem, t: float, u: float, x: float,
                      region: Region, n_paths: int, n_steps: int, seed: int) -> CoupledBundle:
     """Couple the processes started at times u <= t from the same state x.
 
-    Both bundles take n_steps steps of the late start's step size and consume
-    identical Gaussian increments path by path, step by step; the early
-    bundle covers [u, u + n_steps*dt].  Exit indices are computed on the
-    late bundle against the region.
+    Both bundles take n_steps uniform steps, the late start's window
+    (ending at the last node of ``simulate_paths``'s window) divided evenly,
+    and consume identical Gaussian increments path by path, step by step;
+    the early bundle covers [u, u + n_steps*dt].  Exit indices are computed
+    on the late bundle against the region.
     """
     spec = problem.spec
     if not (0.0 <= u <= t):
         raise SimulationError(f"need 0 <= u <= t, got u={u}, t={t}")
-    dt = _sim_window(spec, t, n_steps)
+    dt = (_window(spec, t, n_steps)[-1] - t) / n_steps
+    steps = np.full(n_steps, dt)
     scheme = LOG_EULER if spec.state_space is StateSpace.POSITIVE_HALF_LINE else EULER
     z = _increments(seed, n_paths, n_steps)
-    late_states, late_poisoned = _run_euler(spec, t, x, z, dt, scheme)
-    early_states, early_poisoned = _run_euler(spec, u, x, z, dt, scheme)
+    bundles = []
+    for start in (t, u):
+        times = start + dt * np.arange(n_steps + 1)
+        states, poisoned = _run_euler(spec, times, steps, x, z, scheme)
+        bundles.append(PathBundle(t_nodes=times, steps=steps, start_state=x, states=states,
+                                  seed=seed, scheme=scheme, poisoned=poisoned))
+    late, early = bundles
 
-    times = t + dt * np.arange(n_steps + 1)
+    times = late.t_nodes
     outside = np.empty((n_paths, n_steps + 1), dtype=bool)
     for k in range(n_steps + 1):
         outside[:, k] = ~np.asarray(
-            region.indicator(times[k], late_states[:, k]), dtype=bool
+            region.indicator(times[k], late.states[:, k]), dtype=bool
         )
     any_exit = outside.any(axis=1)
     exit_idx = np.where(any_exit, outside.argmax(axis=1), n_steps)
-
-    late = PathBundle(start_time=t, start_state=x, dt=dt, states=late_states,
-                      seed=seed, scheme=scheme, poisoned=late_poisoned)
-    early = PathBundle(start_time=u, start_state=x, dt=dt, states=early_states,
-                       seed=seed, scheme=scheme, poisoned=early_poisoned)
     return CoupledBundle(late=late, early=early, region=region,
                          region_exit=exit_idx.astype(int))
 
@@ -236,7 +245,7 @@ def comparison_report(cb: CoupledBundle, c_ord: float = 1.0) -> CheckReport:
     stats, k_worst, path_worst = coupling_statistic(cb)
     worst = float(stats.max())
     tol = c_ord * cb.late.dt
-    t_worst = cb.late.start_time + k_worst * cb.late.dt
+    t_worst = cb.late.t_nodes[k_worst]
     x_worst = float(cb.late.states[path_worst, min(k_worst, cb.region_exit[path_worst])])
     return CheckReport(
         check_name="coupling_order",
@@ -274,7 +283,6 @@ def value_lsmc(problem: ValidatedProblem, t: float, x: float, n_paths: int,
     bundle = simulate_paths(problem, t, x, n_paths, n_steps, seed)
     states = bundle.states
     times = bundle.times()
-    dt = bundle.dt
     warnings: list[str] = []
     if bundle.poisoned.any():
         warnings.append(f"{int(bundle.poisoned.sum())} poisoned paths excluded from payoffs")
@@ -290,7 +298,7 @@ def value_lsmc(problem: ValidatedProblem, t: float, x: float, n_paths: int,
         frun[:, 0] = 0.0
         acc = np.zeros(n_paths)
         for k in range(n_steps):
-            acc = acc + np.asarray(f(times[k], states[:, k]), dtype=float) * dt
+            acc = acc + np.asarray(f(times[k], states[:, k]), dtype=float) * bundle.steps[k]
             frun[:, k + 1] = acc
     else:
         frun = None

@@ -14,10 +14,12 @@ cyclic reduction; spatial edges carry Dirichlet values equal to the obstacle,
 which is exact when the stopping region reaches the edge and otherwise relies
 on the grid pad to keep edge effects away from the region of interest.
 
-The coefficients are read from the samples taken once per run by
-``validate_problem``; the original frame of a reflected problem is derived
-from them by reversal and negation, which is exact.  One helper assembles
-each backward step, for the solver and for the residual check alike.
+The time mesh is uniform, or graded toward a drift pole at the horizon
+(``grids.time_nodes``); each step reads its own size.  The coefficients are
+read from the samples taken once per run by ``validate_problem``.  One
+helper assembles each backward step, for the solver and for the residual
+check alike.  The discrete problem has no side, so lower and upper
+boundary problems are solved alike on the user's axis.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, GridError, make_grid, pole_offset
+from .grids import Grid, GridError, time_nodes
 from .problems import (
     Discretization,
     Orientation,
@@ -85,10 +87,11 @@ class Boundary:
 
 
 def build_grid(problem, x_pad: float, nt: int, nx: int, x_ref: float | None = None) -> Grid:
-    """Grid covering x_ref +- x_pad diffusion scales, shaved before any pole.
+    """Grid covering x_ref +- x_pad diffusion scales, in time graded toward any pole.
 
     The diffusion scale is max sigma over a unit-sized probe window around
     x_ref times sqrt(T).  Positive-half-line grids clip x_min to one cell.
+    The time nodes are ``time_nodes(0, T, nt, pole_at_horizon)``.
     """
     spec = problem.spec if isinstance(problem, ValidatedProblem) else problem
     if nt < 2 or nx < 2:
@@ -113,8 +116,9 @@ def build_grid(problem, x_pad: float, nt: int, nx: int, x_ref: float | None = No
     if not (x_min < x_max):
         raise GridError(f"degenerate x-range [{x_min}, {x_max}]")
 
-    t_end = spec.horizon - (pole_offset(spec.horizon, nt) if spec.pole_at_horizon else 0.0)
-    return make_grid(t_end, x_min, x_max, nt, nx)
+    pole = spec.pole_at_horizon
+    return Grid(t_nodes=time_nodes(0.0, spec.horizon, nt, pole),
+                x_nodes=np.linspace(x_min, x_max, nx + 1), graded=pole)
 
 
 def _operator_coefficients(mu: np.ndarray, sig2: np.ndarray, dx: float):
@@ -225,12 +229,12 @@ def _backward_steps(disc: Discretization, theta: float, rannacher: bool, v: np.n
     v[k, -1] must be set beforehand and are folded into rhs.
     """
     grid = disc.grid
-    nt, dt, dx = grid.nt, grid.dt, grid.dx
+    nt, steps, dx = grid.nt, grid.steps, grid.dx
     sig2_i = (disc.sigma * disc.sigma)[1:-1]
     f = disc.f
     co_next = _operator_coefficients(disc.mu[nt, 1:-1], sig2_i, dx)
     for k in range(nt - 1, -1, -1):
-        th = _step_theta(theta, rannacher, k, nt)
+        th, dt = _step_theta(theta, rannacher, k, nt), steps[k]
         co_now = lo_n, di_n, up_n = _operator_coefficients(disc.mu[k, 1:-1], sig2_i, dx)
         lo_x, di_x, up_x = co_next
         vn = v[k + 1]
@@ -279,52 +283,53 @@ def solve_backward(problem: ValidatedProblem, grid: Grid, theta: float = 0.5, *,
 def extract_boundary(surface: ValueSurface) -> Boundary:
     """Read the stopping boundary off the exercise mask, one value per time node.
 
-    Works on lower-orientation surfaces: per time slice the boundary is the
-    largest interior node still marked stopped, -inf if the slice is all
-    continuation and +inf if all stopping.  Edge columns are excluded: the
-    Dirichlet condition pins v = obstacle there regardless of the true
-    region.  Slices whose mask is not of the form "stop below, continue
-    above" are collected as non-separated warnings rather than forced.
+    Per time slice the boundary is the last interior node marked stopped,
+    reading from the stopping side: the largest for a lower boundary, the
+    smallest for an upper one.  All-continuation and all-stopping slices get
+    the sentinels of ``Boundary``.  Edge columns are excluded: the Dirichlet
+    condition pins v = obstacle there regardless of the true region.  Slices
+    not of the form "stopping side, then continuation" are collected as
+    non-separated warnings rather than forced.
     """
-    if surface.orientation is not Orientation.LOWER:
-        raise SolverError("extract_boundary expects a lower-orientation surface; flip first")
-    xs = surface.grid.x_nodes
+    xs = surface.grid.x_nodes[1:-1]
     mask = surface.exercise_mask[:, 1:-1]
+    lower = surface.orientation is Orientation.LOWER
+    if not lower:  # read from the top, so the stopping side comes first
+        xs, mask = xs[::-1], mask[:, ::-1]
     nt = surface.grid.nt
     values = np.empty(nt + 1)
     bad_rows = []
     for k in range(nt + 1):
         row = mask[k]
         if not row.any():
-            values[k] = NEG_INF
+            values[k] = NEG_INF if lower else POS_INF
         elif row.all():
-            values[k] = POS_INF
+            values[k] = POS_INF if lower else NEG_INF
         else:
             j = int(np.nonzero(row)[0][-1])
-            values[k] = xs[1 + j]
+            values[k] = xs[j]
             # separated slices are a true-prefix followed by a false-suffix
             if not row[: j + 1].all():
                 bad_rows.append(k)
     return Boundary(
         t_nodes=surface.grid.t_nodes.copy(),
         values=values,
-        orientation=Orientation.LOWER,
+        orientation=surface.orientation,
         cell_size=surface.grid.dx,
         non_separated=tuple(bad_rows),
     )
 
 
-def unflip_surface(surface: ValueSurface, original) -> ValueSurface:
+def unflip_surface(surface: ValueSurface, original: ValidatedProblem) -> ValueSurface:
     """Map a surface solved on the reflected problem back to the original axis.
 
-    ``original`` is the original problem, validated or as a spec.  Its
-    samples are the solved ones reflected (``reflect_problem``), not a fresh
-    sampling, and negation mirrors the grid nodes bit for bit.  The obstacle
-    is the reflected sample of g, a view that stays one broadcast row for a
+    ``original`` is the validated original problem.  Its samples are the
+    solved ones reflected (``reflect_problem``), not a fresh sampling, and
+    negation mirrors the grid nodes bit for bit.  The obstacle is the
+    reflected sample of g, a view that stays one broadcast row for a
     time-independent reward.
     """
-    spec = original.spec if isinstance(original, ValidatedProblem) else original
-    problem = reflect_problem(surface.problem, spec, surface.grid)
+    problem = reflect_problem(surface.problem, original.spec, surface.grid)
     return ValueSurface(
         grid=problem.disc.grid,
         v=surface.v[:, ::-1].copy(),
@@ -353,14 +358,14 @@ def residual_complementarity(surface: ValueSurface):
     Re-assembles each backward step and measures, on interior nodes, the
     linear-system residual on continuation nodes, the contact gap on
     stopping nodes, obstacle violations, and wrong-sided stopping nodes.
-    The tolerance scales with (dt + dx^2) times the magnitude of the
-    discrete generator terms.
+    The tolerance scales with (dt + dx^2), dt the largest step, times the
+    magnitude of the discrete generator terms.
     """
     from .reports import CheckReport, FAIL, PASS
 
     grid = surface.grid
     xi = grid.x_nodes[1:-1]
-    dt, dx = grid.dt, grid.dx
+    dt, dx, steps = grid.dt, grid.dx, grid.steps
     psi = surface.obstacle
     v = surface.v
     disc = surface.problem.samples_on(grid)
@@ -380,7 +385,7 @@ def residual_complementarity(surface: ValueSurface):
         if res[j] > worst:
             worst = float(res[j])
             witness = (float(grid.t_nodes[k]), float(xi[j]))
-        gen_scale = np.max(np.abs(av - v[k, 1:-1])) / max(dt, 1e-300)
+        gen_scale = np.max(np.abs(av - v[k, 1:-1])) / max(steps[k], 1e-300)
         coef_scale = max(coef_scale, float(gen_scale))
 
     tol = 10.0 * (dt + dx * dx) * coef_scale

@@ -99,7 +99,8 @@ def test_criterion_2_martingale_fixed_point():
 
 # ---------------------------------------------------------------------------
 
-COUPLING_STEPS = (127, 511, 2047)   # dt = 2^-8, 2^-10, 2^-12 after the pole gap
+# dt just under 2^-8, 2^-10, 2^-12: the window ends (T - t)/(n_steps + 1)^2 before the pole
+COUPLING_STEPS = (127, 511, 2047)
 
 
 def _coupling_stats(spec, n_paths=10_000):
@@ -247,8 +248,8 @@ def flipped_bridge_solves():
 def test_criterion_6_cross_oracle_value(flipped_bridge_solves):
     """FD value agrees with a 1e5-path LSMC estimate at (0, 0).
 
-    The LSMC grid uses 250 steps; both oracles carry a small horizon-shave
-    bias and agree within the stated tolerance.
+    The LSMC uses 250 steps and the solver 400, both graded toward the pole
+    by the same rule; they agree within the stated tolerance.
     """
     prob, surf = flipped_bridge_solves[400]
     j0 = int(np.argmin(np.abs(surf.grid.x_nodes)))
@@ -259,6 +260,24 @@ def test_criterion_6_cross_oracle_value(flipped_bridge_solves):
     assert gap <= tol
     _ok("criterion 6 cross-oracle value",
         f"fd={fd:.5f} lsmc={res.estimate:.5f} gap={gap:.2g} tol={tol:.2g}")
+
+
+BRIDGE_C = 0.839924  # b(t) = c sqrt(T - t) for the pinned bridge with g = x (Shepp 1969)
+
+
+def test_bridge_matches_shepp_closed_form(flipped_bridge_solves):
+    """At 400^2 the pinned bridge's v(0, 0) = sqrt(2 pi)(1 - c^2)/2 to 1e-4 and c to 0.1%."""
+    _, surf = flipped_bridge_solves[400]
+    v0 = sl.value_at(surf, 0.0, 0.0)
+    exact = np.sqrt(2.0 * np.pi) * (1.0 - BRIDGE_C ** 2) / 2.0
+    boundary = sl.unflip_boundary(sl.extract_boundary(surf))
+    ts = boundary.t_nodes
+    mid = (ts >= 1.0 / 3.0) & (ts <= 2.0 / 3.0)
+    c = float(np.mean(boundary.values[mid] / np.sqrt(1.0 - ts[mid])))
+    assert abs(v0 - exact) <= 1e-4
+    assert abs(c - BRIDGE_C) / BRIDGE_C <= 1e-3
+    _ok("bridge against Shepp's closed form",
+        f"v(0,0) error {v0 - exact:.2e}, c relative error {(c - BRIDGE_C) / BRIDGE_C:.2e}")
 
 
 def test_criterion_6_boundary_scaling(flipped_bridge_solves):

@@ -13,8 +13,15 @@ from stoplab.checks import CHECKS, FIELDS
 from stoplab.cli import main
 from stoplab.config import loads_config, save_config_text
 from stoplab.grids import Grid
-from stoplab.pipeline import _fmt_float, export_paths_csv, export_surface, run_problem
-from stoplab.problems import discretize
+from stoplab.pipeline import (
+    _fmt_float,
+    build_problem,
+    export_paths_csv,
+    export_surface,
+    prepare_problem,
+    run_problem,
+)
+from stoplab.problems import OrientationError, discretize
 from stoplab.simulate import PathBundle
 import stoplab as sl
 
@@ -41,7 +48,6 @@ run = reward_x_monotone drift_time_monotone_everywhere coupling_order value_time
 
 [output]
 directory = out
-formats = csv json
 """
 
 
@@ -398,6 +404,57 @@ def test_reflected_samples_equal_original_frame_resampling(tmp_path, name):
     assert np.array_equal(art.problem.disc.g, fresh.g)
 
 
+@pytest.mark.parametrize("name", ["brownian_bridge_exp", "brownian_bridge_linear_flipped",
+                                  "ou_time_mean"])
+def test_direct_solve_equals_reflected_solve(name):
+    cfg = sl.builtin_examples()[name]
+    problem = prepare_problem(cfg)
+    surface = sl.solve_backward(problem, problem.disc.grid, theta=cfg.grid.theta)
+    spec_lo = sl.flip_orientation(problem.spec)
+    grid_lo = sl.build_grid(spec_lo, cfg.grid.x_pad, cfg.grid.nt, cfg.grid.nx, x_ref=-cfg.grid.x_ref)
+    solved_lo = sl.solve_backward(sl.validate_problem(spec_lo, grid_lo), grid_lo,
+                                  theta=cfg.grid.theta)
+    reflected = sl.unflip_surface(solved_lo, problem)
+    assert np.array_equal(surface.exercise_mask, reflected.exercise_mask)
+    assert np.max(np.abs(surface.v - reflected.v)) <= 1e-12 * (1.0 + np.max(np.abs(surface.v)))
+    boundary = sl.extract_boundary(surface)
+    assert np.allclose(boundary.values, sl.unflip_boundary(sl.extract_boundary(solved_lo)).values,
+                       rtol=0.0, atol=1e-14)
+
+
+HALF_LINE_UPPER_CONFIG = """
+[problem]
+drift = "1 - x"
+sigma = "0.3*x"
+terminal = "x"
+horizon = 1.0
+state_space = positive_half_line
+orientation = upper
+
+[grid]
+nt = 40
+nx = 40
+
+[checks]
+run = reward_x_monotone drift_time_monotone_everywhere value_time_monotone boundary_monotone residual_complementarity
+
+[output]
+directory = out
+"""
+
+
+def test_upper_problem_on_half_line_runs(tmp_path):
+    # the half line has no mirror image, so this problem could not be reflected
+    cfg = loads_config(HALF_LINE_UPPER_CONFIG)
+    with pytest.raises(OrientationError):
+        sl.flip_orientation(build_problem(cfg.problem))
+    art = run_problem(cfg, out_dir=str(tmp_path))
+    assert art.exit_ok
+    assert art.boundary.orientation is sl.Orientation.UPPER
+    finite = art.boundary.values[np.isfinite(art.boundary.values)]
+    assert finite.size and (finite > 1.0).all()  # stop above the mean-reversion level
+
+
 # The per-cell rendering the CSV writers produced before they formatted whole
 # rows; the files must stay equal to it byte for byte.
 def _cell_surface_csv(surface):
@@ -455,8 +512,9 @@ def test_export_bytes_equal_per_cell_rendering(tmp_path):
     assert open(files["boundary"], encoding="utf-8").read() == expected[1]
 
     states = np.array([full, [-0.0, 0.0, -third, np.inf], [1e300, -1e300, 0.5, 2.0]])
-    bundle = PathBundle(start_time=0.1, start_state=0.1, dt=third, states=states, seed=0,
-                        scheme="euler", poisoned=np.zeros(3, dtype=bool))
+    bundle = PathBundle(t_nodes=0.1 + third * np.arange(4), steps=np.full(3, third),
+                        start_state=0.1, states=states, seed=0, scheme="euler",
+                        poisoned=np.zeros(3, dtype=bool))
     path = export_paths_csv(bundle, str(tmp_path))
     assert open(path, encoding="utf-8").read() == _cell_paths_csv(bundle)
 
@@ -464,7 +522,7 @@ def test_export_bytes_equal_per_cell_rendering(tmp_path):
 @pytest.mark.parametrize("name", ["brownian_bridge_exp", "brownian_bridge_linear_flipped",
                                   "ou_time_mean"])
 def test_check_command_matches_solve_bit_for_bit(tmp_path, monkeypatch, name):
-    # both commands sample the upper problem on the same reflected nodes
+    # both commands sample the upper problem on the same nodes
     cfg = sl.builtin_examples()[name]
     field_checks = tuple(c for c in cfg.checks if CHECKS[c][0] == FIELDS)
     cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, nt=50, nx=50),
@@ -483,16 +541,16 @@ def test_check_command_matches_solve_bit_for_bit(tmp_path, monkeypatch, name):
 # sha256 of the canonical config.cfg text: it is the run_id and config_digest
 # of every run, so these bytes must not move
 CONFIG_CFG_SHA256 = {
-    "bm_time_drift": "416c5d6a3e5f7419aa53568a62e825b2f92c5cba9ba17edb92e6dcbdff4fee6a",
-    "gbm_time_drift": "ca4ec72508fc48a371d3ef7cbcfccd93219a55f55a7b62a7caea3a084744a17d",
-    "brownian_bridge_exp": "e3c826c3ca856208ae6f8f6177255ae6a86892fd1c46dc5effdbf19c759bcac3",
+    "bm_time_drift": "93ce28a7817b7ab2e67c24c03cebc48feeaf97d5dd481c4841429467a176446c",
+    "gbm_time_drift": "2dac6eee7078622739c0dd2aebf0b074bec1e2ec9932649078d073f721a4df4d",
+    "brownian_bridge_exp": "a4c38d494420446e0439dbdbe65b634da95d9a0b3a07ccd077d70f2258a8b6ac",
     "brownian_bridge_linear_flipped":
-        "800960e56957647a90ac9e358909d4f270cea3ba2b59685746e585f0c6cecbf4",
-    "two_point_filtering": "7453909043821469e8d96d1cdb01610095d8b373686e6716bfda3ceb57c27e05",
-    "ou_time_mean": "3ed07d3fc8a50fa4642f8371a0bb354f0e9425c11a7d6edef5c75fe20b91b42e",
-    "FAST_CONFIG": "d54fd3bf7f347edcc53e1f60b9f7ef05224e88b302b2a06f019860b16eb41c49",
-    "UPPER_CONFIG": "02805f539f655a83ddb1680077db1a0f960ce872011fa109a0f66f1169d9af15",
-    "HALF_LINE_LSMC_CONFIG": "e7fc211b9e52ffa2794a42ff3a703b5302c1e84af3bada4568af00a7b9427ffd",
+        "8809aa9344001457e0549d1327fbdf9dddb0e6cce124f7252eda9d108f55ba70",
+    "two_point_filtering": "2425554051170805f6bd9c32d0a66018a475a0d23838d67c3c706b4f27902bff",
+    "ou_time_mean": "385a71e6ab8f8c43090c9c1cf7dee329c7f7ff7766f199c483dcba6718c98258",
+    "FAST_CONFIG": "750999a31da2c518c286c3a8d802ddd68c56bec81b0b6d35326bba19e25d35ea",
+    "UPPER_CONFIG": "8d83926f267a74d13a6e80ccbc17d4b8100d34dd3143ada480a9d407798ac516",
+    "HALF_LINE_LSMC_CONFIG": "95fbe49ec9320f3e1ae36640c0527a5943ef173563e2b1243f9cdd895b245226",
 }
 
 

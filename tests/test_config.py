@@ -174,7 +174,7 @@ _ALWAYS = {
     "grid": {"nt", "nx", "x_pad", "theta"},
     "simulation": {"seed", "n_paths", "n_steps", "region"},
     "checks": set(),
-    "output": {"directory", "formats"},
+    "output": {"directory"},
 }
 _NEEDS = {"bm_time_drift": ("mu_t",), "gbm": ("gamma_t",), "brownian_bridge": ("pin",),
           "ou_time_mean": ("rate", "mean_t"), "filtering": ("prior",),

@@ -98,6 +98,20 @@ class TestSimulatePaths:
         assert bundle.poisoned.any()
         assert np.isfinite(bundle.states).all()  # frozen at last good state
 
+    def test_pole_window_steps_on_the_solver_nodes(self):
+        spec = sl.ProblemSpec(
+            drift=brownian_bridge_drift(0.0, 1.0),
+            diffusion=sl.constant_field(1.0),
+            terminal_reward=sl.from_expression("x", 1.0),
+            horizon=1.0,
+            pole_at_horizon=True,
+        )
+        grid = sl.build_grid(spec, 5.0, 400, 20, x_ref=0.0)
+        prob = sl.validate_problem(spec, grid)
+        bundle = sl.simulate_paths(prob, 0.0, 0.0, 8, grid.nt, seed=1)
+        assert np.array_equal(bundle.times(), grid.t_nodes)
+        assert np.array_equal(bundle.steps, grid.steps)
+
     def test_needs_at_least_one_step(self):
         prob = _problem()
         with pytest.raises(SimulationError):

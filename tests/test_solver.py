@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import stoplab as sl
 from stoplab.filtering import brownian_bridge_drift
-from stoplab.grids import GridError
+from stoplab.grids import GridError, time_nodes
 from stoplab.pipeline import prepare_problem
 from stoplab.problems import Orientation, StateSpace
 from stoplab.solver import NEG_INF, POS_INF, _backward_steps, _howard, _tridiag_solve
@@ -56,7 +56,26 @@ class TestBuildGrid:
             pole_at_horizon=True,
         )
         grid = sl.build_grid(spec, 5.0, 100, 100, x_ref=0.0)
-        assert grid.horizon_end == pytest.approx(1.0 - 1.0 / 100)
+        assert grid.graded
+        assert np.array_equal(grid.t_nodes, time_nodes(0.0, 1.0, 100, pole=True))
+        assert grid.horizon_end == pytest.approx(1.0 - 1.0 / 101 ** 2, abs=1e-15)
+        assert np.array_equal(grid.steps, np.diff(grid.t_nodes))
+
+    def test_uniform_steps_keep_the_exact_scalar_step(self):
+        # np.diff of a linspace differs from its step in the last bit
+        grid = sl.build_grid(_spec(), 5.0, 400, 10, x_ref=0.0)
+        assert not grid.graded and (grid.steps == grid.dt).all()
+
+    def test_time_nodes_without_pole_are_linspace(self):
+        for t0, horizon, n in ((0.0, 1.0, 400), (0.25, 1.0, 399), (0.1, 2.5, 7)):
+            assert np.array_equal(time_nodes(t0, horizon, n), np.linspace(t0, horizon, n + 1))
+
+    def test_time_nodes_graded_toward_pole(self):
+        for t0, horizon, n in ((0.0, 1.0, 400), (0.5, 1.0, 127), (0.1, 2.5, 7)):
+            t = time_nodes(t0, horizon, n, pole=True)
+            assert t[0] == t0 and (np.diff(t) > 0).all()
+            assert (np.diff(t, 2) < 0).all()  # the steps shrink toward the pole
+            assert horizon - t[-1] == pytest.approx((horizon - t0) / (n + 1) ** 2, rel=1e-9)
 
 
 class TestSolveBackward:
@@ -125,10 +144,19 @@ class TestExtractBoundary:
         b = sl.extract_boundary(surf)
         assert (b.values == POS_INF).all()
 
-    def test_upper_surface_rejected(self):
-        spec = _spec(drift="0", orientation=Orientation.UPPER)
-        with pytest.raises(sl.solver.SolverError):
-            sl.extract_boundary(_solve(spec, n=40))
+    def test_upper_surface_read_from_the_top(self):
+        surf = _solve(_spec(drift="0.5", orientation=Orientation.UPPER), n=40)
+        b = sl.extract_boundary(surf)
+        assert b.orientation is Orientation.UPPER
+        assert (b.values[:-1] == POS_INF).all()  # all continuation
+        assert b.values[-1] == NEG_INF           # the terminal slice stops everywhere
+        mask = np.zeros_like(surf.exercise_mask)
+        mask[3, 25:] = True                      # stop at and above x_25
+        mask[4, 25:] = mask[4, 10] = True        # plus a stray stop node below
+        b = sl.extract_boundary(dataclasses.replace(surf, exercise_mask=mask))
+        assert b.values[3] == surf.grid.x_nodes[25]
+        assert b.values[4] == surf.grid.x_nodes[10]
+        assert b.non_separated == (4,)
 
     def test_unflip_negates_and_swaps_sentinels(self):
         surf = _solve(_spec(drift="0.5"), n=40)
@@ -264,7 +292,7 @@ class TestLinearAlgebra:
     def test_gallery_complementarity_residual_at_round_off(self, name):
         cfg = sl.builtin_examples()[name]
         cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, nt=50, nx=50))
-        _, problem = prepare_problem(cfg)
+        problem = prepare_problem(cfg)
         surf = sl.solve_backward(problem, problem.disc.grid, theta=cfg.grid.theta)
         psi = surf.obstacle
         for k, lower, diag, upper, rhs in _backward_steps(problem.disc, surf.meta.theta,
