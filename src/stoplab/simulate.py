@@ -4,6 +4,8 @@ Increments come from the counter-based Philox generator keyed by the master
 seed; the (path, step) increment table is a pure function of
 (seed, n_paths, n_steps), so identical seeds and parameters reproduce
 bit-identical bundles regardless of how post-processing is parallelised.
+Paths are stored step-major, one contiguous row of all paths per time node,
+so a step reads and writes whole rows; the draw order stays path by path.
 
 Positive-half-line problems are simulated in log coordinates so paths stay
 strictly positive.  Paths step on the solver's time rule
@@ -26,6 +28,8 @@ from .reports import CheckReport, FAIL, PASS
 
 EULER = "euler"
 LOG_EULER = "log_euler"
+DRAW_BLOCK = 4096      # paths per increment draw: bounds _increments' path-major scratch
+BOOTSTRAP_BLOCK = 16   # resamples per bootstrap index draw: bounds the table and its gather
 
 
 class SimulationError(RuntimeError):
@@ -37,7 +41,7 @@ class PathBundle:
     t_nodes: np.ndarray      # (n_steps + 1,)
     steps: np.ndarray        # (n_steps,) size of each step
     start_state: float
-    states: np.ndarray       # (n_paths, n_steps + 1)
+    states: np.ndarray       # (n_paths, n_steps + 1), the .T view of step-major rows
     seed: int
     scheme: str
     poisoned: np.ndarray     # per-path flag: a non-finite state was hit
@@ -100,8 +104,14 @@ def negative_drift_region(drift, tol_zero: float = 1e-12) -> Region:
 
 
 def _increments(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
+    """(n_steps, n_paths): the transpose of one standard_normal((n_paths, n_steps))
+    draw, taken DRAW_BLOCK paths at a time from the same Philox stream."""
     gen = np.random.Generator(np.random.Philox(seed))
-    return gen.standard_normal((n_paths, n_steps))
+    z = np.empty((n_steps, n_paths))
+    for lo in range(0, n_paths, DRAW_BLOCK):
+        hi = min(lo + DRAW_BLOCK, n_paths)
+        z[:, lo:hi] = gen.standard_normal((hi - lo, n_steps)).T
+    return z
 
 
 def _window(spec, t: float, n_steps: int) -> np.ndarray:
@@ -115,10 +125,12 @@ def _window(spec, t: float, n_steps: int) -> np.ndarray:
 
 def _run_euler(spec, times: np.ndarray, steps: np.ndarray, x: float, z: np.ndarray,
                scheme: str):
-    n_paths, n_steps = z.shape
-    states = np.empty((n_paths, n_steps + 1))
-    states[:, 0] = x
+    """Step-major states (n_steps + 1, n_paths) and the per-path poisoned flag."""
+    n_steps, n_paths = z.shape
+    states = np.empty((n_steps + 1, n_paths))
+    states[0] = x
     poisoned = np.zeros(n_paths, dtype=bool)
+    any_poisoned = False
     sqdt = np.sqrt(steps)
     mu = spec.drift
     sigma = spec.diffusion
@@ -127,25 +139,25 @@ def _run_euler(spec, times: np.ndarray, steps: np.ndarray, x: float, z: np.ndarr
         if x <= 0:
             raise SimulationError(f"log-space scheme needs a positive start state, got {x}")
         logx = np.full(n_paths, np.log(x))
-    cur = states[:, 0].copy()
+    cur = states[0].copy()
     for k in range(n_steps):
         tk, dt = times[k], steps[k]
         with np.errstate(all="ignore"):
             if scheme == LOG_EULER:
                 s = np.asarray(sigma(0.0, cur), dtype=float)
                 drift_term = np.asarray(mu(tk, cur), dtype=float) / cur - 0.5 * (s / cur) ** 2
-                step = drift_term * dt + (s / cur) * sqdt[k] * z[:, k]
-                logx = np.where(poisoned, logx, logx + step)
+                step = drift_term * dt + (s / cur) * sqdt[k] * z[k]
+                logx = np.where(poisoned, logx, logx + step) if any_poisoned else logx + step
                 nxt = np.exp(logx)
             else:
                 s = np.asarray(sigma(0.0, cur), dtype=float)
-                nxt = cur + np.asarray(mu(tk, cur), dtype=float) * dt + s * sqdt[k] * z[:, k]
+                nxt = cur + np.asarray(mu(tk, cur), dtype=float) * dt + s * sqdt[k] * z[k]
         bad = ~np.isfinite(nxt)
-        if bad.any():
-            nxt = np.where(bad, cur, nxt)   # freeze poisoned paths at last good state
+        if any_poisoned or bad.any():
             poisoned |= bad
-        nxt = np.where(poisoned, cur, nxt)
-        states[:, k + 1] = nxt
+            any_poisoned = True
+            nxt = np.where(poisoned, cur, nxt)   # freeze poisoned paths at last good state
+        states[k + 1] = nxt
         cur = nxt
     return states, poisoned
 
@@ -161,8 +173,8 @@ def simulate_paths(problem: ValidatedProblem, t: float, x: float, n_paths: int,
     times = _window(spec, t, n_steps)
     steps = time_steps(times, spec.pole_at_horizon)
     z = _increments(seed, n_paths, n_steps)
-    states, poisoned = _run_euler(spec, times, steps, x, z, scheme)
-    return PathBundle(t_nodes=times, steps=steps, start_state=x, states=states,
+    rows, poisoned = _run_euler(spec, times, steps, x, z, scheme)
+    return PathBundle(t_nodes=times, steps=steps, start_state=x, states=rows.T,
                       seed=seed, scheme=scheme, poisoned=poisoned)
 
 
@@ -195,21 +207,19 @@ def simulate_coupled(problem: ValidatedProblem, t: float, u: float, x: float,
     bundles = []
     for start in (t, u):
         times = start + dt * np.arange(n_steps + 1)
-        states, poisoned = _run_euler(spec, times, steps, x, z, scheme)
-        bundles.append(PathBundle(t_nodes=times, steps=steps, start_state=x, states=states,
+        rows, poisoned = _run_euler(spec, times, steps, x, z, scheme)
+        bundles.append(PathBundle(t_nodes=times, steps=steps, start_state=x, states=rows.T,
                                   seed=seed, scheme=scheme, poisoned=poisoned))
     late, early = bundles
 
-    times = late.t_nodes
-    outside = np.empty((n_paths, n_steps + 1), dtype=bool)
-    for k in range(n_steps + 1):
-        outside[:, k] = ~np.asarray(
-            region.indicator(times[k], late.states[:, k]), dtype=bool
-        )
-    any_exit = outside.any(axis=1)
-    exit_idx = np.where(any_exit, outside.argmax(axis=1), n_steps)
-    return CoupledBundle(late=late, early=early, region=region,
-                         region_exit=exit_idx.astype(int))
+    rows = late.states.T
+    exit_idx = np.full(n_paths, n_steps, dtype=int)
+    inside = np.ones(n_paths, dtype=bool)
+    for k, tk in enumerate(late.t_nodes):
+        left = inside & ~np.asarray(region.indicator(tk, rows[k]), dtype=bool)
+        exit_idx[left] = k
+        inside &= ~left
+    return CoupledBundle(late=late, early=early, region=region, region_exit=exit_idx)
 
 
 def coupling_statistic(cb: CoupledBundle) -> tuple[np.ndarray, int, int]:
@@ -217,15 +227,14 @@ def coupling_statistic(cb: CoupledBundle) -> tuple[np.ndarray, int, int]:
 
     Returns (per-step means, worst step, worst path at that step).
     """
-    late, early = cb.late.states, cb.early.states
-    n_paths, n1 = late.shape
-    n_steps = n1 - 1
-    rows = np.arange(n_paths)
-    stats = np.empty(n_steps + 1)
+    late, early = cb.late.states.T, cb.early.states.T   # step-major rows
+    exit_idx = cb.region_exit
+    paths = np.arange(late.shape[1])
+    frozen = late[exit_idx, paths] - early[exit_idx, paths]
+    stats = np.empty(late.shape[0])
     worst = (-1.0, 0, 0)
-    for k in range(n_steps + 1):
-        idx = np.minimum(k, cb.region_exit)
-        diff = late[rows, idx] - early[rows, idx]
+    for k in range(late.shape[0]):
+        diff = np.where(exit_idx < k, frozen, late[k] - early[k])
         pos = np.maximum(diff, 0.0)
         stats[k] = pos.mean()
         top = float(pos.max())
@@ -276,12 +285,13 @@ def value_lsmc(problem: ValidatedProblem, t: float, x: float, n_paths: int,
     Backward induction over the simulation grid with a polynomial regression
     basis fit on paths whose immediate reward is positive (all paths when too
     few are); the running reward is integrated by the left-endpoint rule.
-    The standard error is a bootstrap over the realized per-path payoffs.
+    The standard error is a bootstrap over the realized per-path payoffs,
+    its resamples drawn in blocks (``_bootstrap_se``).
     A rank-deficient regression matrix reduces the degree with a warning.
     """
     spec = problem.spec
     bundle = simulate_paths(problem, t, x, n_paths, n_steps, seed)
-    states = bundle.states
+    rows = bundle.states.T   # step-major: rows[k] holds every path at node k
     times = bundle.times()
     warnings: list[str] = []
     if bundle.poisoned.any():
@@ -291,37 +301,34 @@ def value_lsmc(problem: ValidatedProblem, t: float, x: float, n_paths: int,
     f = spec.running_reward
 
     def reward_at(k):
-        return np.asarray(g(times[k], states[:, k]), dtype=float) + np.zeros(n_paths)
+        return np.asarray(g(times[k], rows[k]), dtype=float) + np.zeros(n_paths)
 
     if f is not None:
-        frun = np.empty((n_paths, n_steps + 1))
-        frun[:, 0] = 0.0
+        frun = np.empty((n_steps + 1, n_paths))
+        frun[0] = 0.0
         acc = np.zeros(n_paths)
         for k in range(n_steps):
-            acc = acc + np.asarray(f(times[k], states[:, k]), dtype=float) * bundle.steps[k]
-            frun[:, k + 1] = acc
+            acc = acc + np.asarray(f(times[k], rows[k]), dtype=float) * bundle.steps[k]
+            frun[k + 1] = acc
     else:
         frun = None
 
-    def total_if_stopped(k):
-        tot = reward_at(k)
-        if frun is not None:
-            tot = tot + frun[:, k]
-        return tot
+    def total_if_stopped(k, immediate):
+        return immediate if frun is None else immediate + frun[k]
 
-    total = total_if_stopped(n_steps)
+    total = total_if_stopped(n_steps, reward_at(n_steps))
     degree = int(basis_degree)
     for k in range(n_steps - 1, 0, -1):
-        exercise = total_if_stopped(k)
-        xk = states[:, k]
+        xk = rows[k]
         immediate = reward_at(k)
+        exercise = total_if_stopped(k, immediate)
         candidates = np.nonzero(immediate > 0)[0]
         if candidates.size < max(30, 5 * (degree + 1)):
             candidates = np.arange(n_paths)
         # continuation payoff measured from time k
         future = total[candidates]
         if frun is not None:
-            future = future - frun[candidates, k]
+            future = future - frun[k, candidates]
         z = xk[candidates]
         spread = z.std()
         z = (z - z.mean()) / (spread if spread > 0 else 1.0)
@@ -336,7 +343,7 @@ def value_lsmc(problem: ValidatedProblem, t: float, x: float, n_paths: int,
             coef, _, _, _ = np.linalg.lstsq(basis, future, rcond=None)
         continuation = basis @ coef
         if frun is not None:
-            continuation = continuation + frun[candidates, k]
+            continuation = continuation + frun[k, candidates]
         stop = candidates[exercise[candidates] >= continuation]
         total[stop] = exercise[stop]
 
@@ -347,10 +354,18 @@ def value_lsmc(problem: ValidatedProblem, t: float, x: float, n_paths: int,
     mean = float(payoffs.mean())
     immediate0 = float(np.asarray(g(times[0], np.asarray(x, dtype=float)), dtype=float))
     estimate = max(immediate0, mean)
-
-    boot_gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 0xB007])))
-    idx = boot_gen.integers(0, payoffs.size, size=(bootstrap, payoffs.size))
-    boot_means = payoffs[idx].mean(axis=1)
-    se = float(boot_means.std(ddof=1))
+    se = _bootstrap_se(payoffs, seed, bootstrap)
     return LsmcValue(estimate=estimate, standard_error=se, n_paths=int(keep.sum()),
                      warnings=tuple(warnings))
+
+
+def _bootstrap_se(payoffs: np.ndarray, seed: int, bootstrap: int) -> float:
+    """Bootstrap standard error of the mean payoff; the (bootstrap, n) index
+    draw is taken BOOTSTRAP_BLOCK resamples at a time from one Philox stream."""
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 0xB007])))
+    boot_means = np.empty(bootstrap)
+    for lo in range(0, bootstrap, BOOTSTRAP_BLOCK):
+        hi = min(lo + BOOTSTRAP_BLOCK, bootstrap)
+        idx = gen.integers(0, payoffs.size, size=(hi - lo, payoffs.size))
+        boot_means[lo:hi] = payoffs[idx].mean(axis=1)
+    return float(boot_means.std(ddof=1))

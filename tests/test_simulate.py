@@ -1,5 +1,7 @@
 """Path simulation, couplings, region exits, and the LSMC value oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ import stoplab as sl
 from stoplab.filtering import brownian_bridge_drift
 from stoplab.problems import StateSpace
 from stoplab.simulate import (
+    DRAW_BLOCK,
     SimulationError,
+    _bootstrap_se,
+    _increments,
     coupling_statistic,
     everywhere_region,
     negative_drift_region,
@@ -25,6 +30,45 @@ def _problem(drift="0", sigma="1", terminal="x", horizon=1.0, **kw):
     lo = 0.05 if kw.get("state_space") is StateSpace.POSITIVE_HALF_LINE else -5
     grid = sl.make_grid(horizon * (0.99 if kw.get("pole_at_horizon") else 1.0), lo, 5, 20, 20)
     return sl.validate_problem(spec, grid)
+
+
+def _euler_path_major(problem, bundle, z):
+    """Reference Euler loop on a path-major (n_paths, n_steps + 1) table, one
+    column per step, freezing a path at its last finite state."""
+    mu, sigma = problem.spec.drift, problem.spec.diffusion
+    n_paths, n_steps = z.shape
+    states = np.empty((n_paths, n_steps + 1))
+    states[:, 0] = bundle.start_state
+    poisoned = np.zeros(n_paths, dtype=bool)
+    logx = np.full(n_paths, np.log(bundle.start_state) if bundle.scheme == "log_euler" else 0.0)
+    for k in range(n_steps):
+        cur, tk, dt = states[:, k].copy(), bundle.t_nodes[k], bundle.steps[k]
+        with np.errstate(all="ignore"):
+            s = np.asarray(sigma(0.0, cur), dtype=float)
+            if bundle.scheme == "log_euler":
+                drift_term = np.asarray(mu(tk, cur), dtype=float) / cur - 0.5 * (s / cur) ** 2
+                step = drift_term * dt + (s / cur) * np.sqrt(dt) * z[:, k]
+                logx = np.where(poisoned, logx, logx + step)
+                nxt = np.exp(logx)
+            else:
+                nxt = cur + np.asarray(mu(tk, cur), dtype=float) * dt + s * np.sqrt(dt) * z[:, k]
+        poisoned |= ~np.isfinite(nxt)
+        states[:, k + 1] = np.where(poisoned, cur, nxt)
+    return states, poisoned
+
+
+def _bridge_coupling():
+    spec = sl.ProblemSpec(
+        drift=brownian_bridge_drift(0.0, 1.0),
+        diffusion=sl.constant_field(1.0),
+        terminal_reward=sl.from_expression("x", 1.0),
+        horizon=1.0,
+        pole_at_horizon=True,
+    )
+    grid = sl.make_grid(0.99, -5, 5, 20, 20)
+    prob = sl.validate_problem(spec, grid)
+    region = negative_drift_region(spec.drift)
+    return sl.simulate_coupled(prob, 0.5, 0.25, 1.0, region, 2000, 127, seed=21)
 
 
 class TestSimulatePaths:
@@ -98,6 +142,35 @@ class TestSimulatePaths:
         assert bundle.poisoned.any()
         assert np.isfinite(bundle.states).all()  # frozen at last good state
 
+    @pytest.mark.parametrize("scheme, drift, sigma, x0, kw", [
+        ("euler", "exp(x*x)", "2", 0.0, {}),
+        ("log_euler", "x*x*x*(x - 2)", "0.4*x", 2.0, {"state_space": StateSpace.POSITIVE_HALF_LINE}),
+    ])
+    def test_poisoned_paths_frozen_bit_for_bit(self, scheme, drift, sigma, x0, kw):
+        prob = _problem(drift=drift, sigma=sigma, **kw)
+        n_paths, n_steps = 200, 64
+        bundle = sl.simulate_paths(prob, 0.0, x0, n_paths, n_steps, seed=3)
+        assert bundle.scheme == scheme
+        assert bundle.states.T.flags.c_contiguous   # a view of step-major rows
+        z = np.random.Generator(np.random.Philox(3)).standard_normal((n_paths, n_steps))
+        states, poisoned = _euler_path_major(prob, bundle, z)
+        assert 0 < poisoned.sum() < n_paths
+        assert np.array_equal(bundle.poisoned, poisoned)
+        assert np.array_equal(bundle.states, states)
+        assert np.isfinite(bundle.states).all()
+        for path in bundle.states[poisoned]:
+            moved = np.nonzero(np.diff(path))[0]
+            last_good = moved[-1] + 1 if moved.size else 0
+            assert last_good < n_steps and (path[last_good:] == path[last_good]).all()
+
+    @pytest.mark.parametrize("n_paths", [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1,
+                                         3 * DRAW_BLOCK + 5])
+    def test_increments_are_the_transposed_one_shot_draw(self, n_paths):
+        z = _increments(17, n_paths, 3)
+        expect = np.random.Generator(np.random.Philox(17)).standard_normal((n_paths, 3)).T
+        assert z.shape == (3, n_paths) and z.flags.c_contiguous
+        assert np.array_equal(z, expect)
+
     def test_pole_window_steps_on_the_solver_nodes(self):
         spec = sl.ProblemSpec(
             drift=brownian_bridge_drift(0.0, 1.0),
@@ -161,20 +234,40 @@ class TestCoupling:
         assert report.worst_violation == 0.0
 
     def test_bridge_region_coupling_ordered(self):
-        spec = sl.ProblemSpec(
-            drift=brownian_bridge_drift(0.0, 1.0),
-            diffusion=sl.constant_field(1.0),
-            terminal_reward=sl.from_expression("x", 1.0),
-            horizon=1.0,
-            pole_at_horizon=True,
-        )
-        grid = sl.make_grid(0.99, -5, 5, 20, 20)
-        prob = sl.validate_problem(spec, grid)
-        region = negative_drift_region(spec.drift)
-        cb = sl.simulate_coupled(prob, 0.5, 0.25, 1.0, region, 2000, 127, seed=21)
+        cb = _bridge_coupling()
         assert (cb.region_exit < 127).any()  # some paths do hit x <= 0
         report = sl.comparison_report(cb)
         assert report.verdict == "PASS"
+
+    def test_region_exit_equals_per_path_exit_time(self):
+        cb = _bridge_coupling()
+        expect = [sl.region_exit_time(path, cb.region, 0.5, cb.late.dt)
+                  for path in cb.late.states]
+        assert np.array_equal(cb.region_exit, expect)
+        assert (cb.region_exit < 127).any() and (cb.region_exit == 127).any()
+
+    def test_statistic_equals_gather_form(self):
+        prob = _problem(drift="x*t - 0.3", sigma="1 + x*x/20")
+        n_paths, n_steps = 300, 40
+        cb = sl.simulate_coupled(prob, 0.5, 0.2, 0.5, everywhere_region(), n_paths, n_steps,
+                                 seed=6)
+        exits = np.random.default_rng(0).integers(0, n_steps + 1, size=n_paths)
+        exits[:3] = (0, n_steps // 2, n_steps)
+        cb = dataclasses.replace(cb, region_exit=exits)
+        stats, k_worst, path_worst = coupling_statistic(cb)
+
+        late, early, paths = cb.late.states, cb.early.states, np.arange(n_paths)
+        expect = np.empty(n_steps + 1)
+        worst = (-1.0, 0, 0)
+        for k in range(n_steps + 1):
+            idx = np.minimum(k, exits)
+            pos = np.maximum(late[paths, idx] - early[paths, idx], 0.0)
+            expect[k] = pos.mean()
+            if pos.max() > worst[0]:
+                worst = (pos.max(), k, int(pos.argmax()))
+        assert worst[0] > 0.0
+        assert np.array_equal(stats, expect)
+        assert (k_worst, path_worst) == worst[1:]
 
     def test_rejects_bad_time_order(self):
         prob = _problem()
@@ -206,6 +299,14 @@ class TestLsmc:
         prob = sl.validate_problem(spec, grid)
         res = sl.value_lsmc(prob, 0.0, 0.0, 5_000, 64, 2, seed=44)
         assert res.estimate == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("bootstrap", [2, 16, 17, 200])
+    def test_blocked_bootstrap_equals_one_shot_draw(self, bootstrap):
+        payoffs = np.random.default_rng(5).normal(size=37)
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([9, 0xB007])))
+        idx = gen.integers(0, payoffs.size, size=(bootstrap, payoffs.size))
+        expect = float(payoffs[idx].mean(axis=1).std(ddof=1))
+        assert _bootstrap_se(payoffs, 9, bootstrap) == expect
 
     def test_deterministic_given_seed(self):
         prob = _problem(drift="0", sigma="1")
