@@ -3,9 +3,19 @@
 Increments come from the counter-based Philox generator keyed by the master
 seed; the (path, step) increment table is a pure function of
 (seed, n_paths, n_steps), so identical seeds and parameters reproduce
-bit-identical bundles regardless of how post-processing is parallelised.
-Paths are stored step-major, one contiguous row of all paths per time node,
-so a step reads and writes whole rows; the draw order stays path by path.
+bit-identical bundles.  Paths are stored step-major, one contiguous row of all
+paths per time node, so a step reads and writes whole rows; the draw order
+stays path by path.
+
+The paths are stepped DRAW_BLOCK at a time (``_increment_blocks``).  One
+worker thread draws and transposes the next block's increments while the
+calling thread steps the current one.  The worker runs numpy only, the draw
+into one buffer and the transpose into another; every stoplab callable (drift,
+diffusion, region indicator, rewards) runs on the calling thread.  The output
+does not depend on the threads: there is one Philox stream, drawn block after
+block in path order, and every Euler, poison and exit operation is
+elementwise per path, so a block's paths come out as they would in one
+full-width pass.  The worker is joined before the call returns or raises.
 
 Positive-half-line problems are simulated in log coordinates so paths stay
 strictly positive.  Paths step on the solver's time rule
@@ -17,6 +27,7 @@ keep a uniform step, ending at the same last node.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -28,7 +39,7 @@ from .reports import CheckReport, FAIL, PASS
 
 EULER = "euler"
 LOG_EULER = "log_euler"
-DRAW_BLOCK = 4096      # paths per increment draw: bounds _increments' path-major scratch
+DRAW_BLOCK = 4096      # paths per block: the in-flight buffers hold 3 x DRAW_BLOCK x n_steps doubles
 BOOTSTRAP_BLOCK = 16   # resamples per bootstrap index draw: bounds the table and its gather
 
 
@@ -103,15 +114,43 @@ def negative_drift_region(drift, tol_zero: float = 1e-12) -> Region:
     )
 
 
-def _increments(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """(n_steps, n_paths): the transpose of one standard_normal((n_paths, n_steps))
-    draw, taken DRAW_BLOCK paths at a time from the same Philox stream."""
+def _increment_blocks(seed: int, n_paths: int, n_steps: int):
+    """Yield (lo, hi, z) for each DRAW_BLOCK of paths, z the (n_steps, hi - lo)
+    step-major increments of paths lo:hi.
+
+    The blocks together are the transpose of one
+    standard_normal((n_paths, n_steps)) draw from the seed's Philox stream.
+    A single worker thread draws block b + 1, into one path-major buffer,
+    and transposes it into one of two step-major buffers while the caller
+    uses block b; z is overwritten once the block after next is drawn, so it
+    is valid until the caller asks for the next block.  Every buffer is
+    allocated here, on the calling thread.  Closing the generator joins the
+    worker, so callers wrap it in ``contextlib.closing``.
+    """
+    from concurrent.futures import ThreadPoolExecutor   # here, to keep it out of set-up
+
+    if n_paths < 1:
+        return
     gen = np.random.Generator(np.random.Philox(seed))
-    z = np.empty((n_steps, n_paths))
-    for lo in range(0, n_paths, DRAW_BLOCK):
-        hi = min(lo + DRAW_BLOCK, n_paths)
-        z[:, lo:hi] = gen.standard_normal((hi - lo, n_steps)).T
-    return z
+    width = min(DRAW_BLOCK, n_paths)
+    drawn = np.empty((width, n_steps))
+    step_major = (np.empty(n_steps * width), np.empty(n_steps * width))
+
+    def draw(lo, hi, flat):
+        m = hi - lo
+        gen.standard_normal(out=drawn[:m])
+        z = flat[: n_steps * m].reshape(n_steps, m)
+        z[...] = drawn[:m].T
+        return z
+
+    bounds = [(lo, min(lo + DRAW_BLOCK, n_paths)) for lo in range(0, n_paths, DRAW_BLOCK)]
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = worker.submit(draw, *bounds[0], step_major[0])
+        for b, (lo, hi) in enumerate(bounds):
+            z = pending.result()
+            if b + 1 < len(bounds):
+                pending = worker.submit(draw, *bounds[b + 1], step_major[(b + 1) % 2])
+            yield lo, hi, z
 
 
 def _window(spec, t: float, n_steps: int) -> np.ndarray:
@@ -124,10 +163,10 @@ def _window(spec, t: float, n_steps: int) -> np.ndarray:
 
 
 def _run_euler(spec, times: np.ndarray, steps: np.ndarray, x: float, z: np.ndarray,
-               scheme: str):
-    """Step-major states (n_steps + 1, n_paths) and the per-path poisoned flag."""
+               scheme: str, states: np.ndarray) -> np.ndarray:
+    """Fill step-major ``states`` (n_steps + 1, n_paths) from the increments z
+    (n_steps, n_paths); return the per-path poisoned flag."""
     n_steps, n_paths = z.shape
-    states = np.empty((n_steps + 1, n_paths))
     states[0] = x
     poisoned = np.zeros(n_paths, dtype=bool)
     any_poisoned = False
@@ -159,7 +198,7 @@ def _run_euler(spec, times: np.ndarray, steps: np.ndarray, x: float, z: np.ndarr
             nxt = np.where(poisoned, cur, nxt)   # freeze poisoned paths at last good state
         states[k + 1] = nxt
         cur = nxt
-    return states, poisoned
+    return poisoned
 
 
 def simulate_paths(problem: ValidatedProblem, t: float, x: float, n_paths: int,
@@ -172,8 +211,11 @@ def simulate_paths(problem: ValidatedProblem, t: float, x: float, n_paths: int,
         scheme = LOG_EULER if spec.state_space is StateSpace.POSITIVE_HALF_LINE else EULER
     times = _window(spec, t, n_steps)
     steps = time_steps(times, spec.pole_at_horizon)
-    z = _increments(seed, n_paths, n_steps)
-    rows, poisoned = _run_euler(spec, times, steps, x, z, scheme)
+    rows = np.empty((n_steps + 1, n_paths))
+    poisoned = np.empty(n_paths, dtype=bool)
+    with closing(_increment_blocks(seed, n_paths, n_steps)) as blocks:
+        for lo, hi, z in blocks:
+            poisoned[lo:hi] = _run_euler(spec, times, steps, x, z, scheme, rows[:, lo:hi])
     return PathBundle(t_nodes=times, steps=steps, start_state=x, states=rows.T,
                       seed=seed, scheme=scheme, poisoned=poisoned)
 
@@ -203,23 +245,35 @@ def simulate_coupled(problem: ValidatedProblem, t: float, u: float, x: float,
     dt = (_window(spec, t, n_steps)[-1] - t) / n_steps
     steps = np.full(n_steps, dt)
     scheme = LOG_EULER if spec.state_space is StateSpace.POSITIVE_HALF_LINE else EULER
-    z = _increments(seed, n_paths, n_steps)
-    bundles = []
-    for start in (t, u):
-        times = start + dt * np.arange(n_steps + 1)
-        rows, poisoned = _run_euler(spec, times, steps, x, z, scheme)
-        bundles.append(PathBundle(t_nodes=times, steps=steps, start_state=x, states=rows.T,
-                                  seed=seed, scheme=scheme, poisoned=poisoned))
-    late, early = bundles
+    late_t, early_t = (start + dt * np.arange(n_steps + 1) for start in (t, u))
+    late, early = (np.empty((n_steps + 1, n_paths)) for _ in range(2))
+    late_bad, early_bad = (np.empty(n_paths, dtype=bool) for _ in range(2))
+    exit_idx = np.empty(n_paths, dtype=int)
+    with closing(_increment_blocks(seed, n_paths, n_steps)) as blocks:
+        for lo, hi, z in blocks:
+            late_bad[lo:hi] = _run_euler(spec, late_t, steps, x, z, scheme, late[:, lo:hi])
+            early_bad[lo:hi] = _run_euler(spec, early_t, steps, x, z, scheme, early[:, lo:hi])
+            exit_idx[lo:hi] = _exit_steps(region, late_t, late[:, lo:hi])
 
-    rows = late.states.T
-    exit_idx = np.full(n_paths, n_steps, dtype=int)
-    inside = np.ones(n_paths, dtype=bool)
-    for k, tk in enumerate(late.t_nodes):
+    def bundle(times, rows, poisoned):
+        return PathBundle(t_nodes=times, steps=steps, start_state=x, states=rows.T,
+                          seed=seed, scheme=scheme, poisoned=poisoned)
+
+    return CoupledBundle(late=bundle(late_t, late, late_bad),
+                         early=bundle(early_t, early, early_bad),
+                         region=region, region_exit=exit_idx)
+
+
+def _exit_steps(region: Region, times: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per path of step-major ``rows``, the first node index outside the region
+    (the last index if it never leaves)."""
+    exit_idx = np.full(rows.shape[1], len(times) - 1, dtype=int)
+    inside = np.ones(rows.shape[1], dtype=bool)
+    for k, tk in enumerate(times):
         left = inside & ~np.asarray(region.indicator(tk, rows[k]), dtype=bool)
         exit_idx[left] = k
         inside &= ~left
-    return CoupledBundle(late=late, early=early, region=region, region_exit=exit_idx)
+    return exit_idx
 
 
 def coupling_statistic(cb: CoupledBundle) -> tuple[np.ndarray, int, int]:
@@ -332,7 +386,7 @@ def value_lsmc(problem: ValidatedProblem, t: float, x: float, n_paths: int,
         z = xk[candidates]
         spread = z.std()
         z = (z - z.mean()) / (spread if spread > 0 else 1.0)
-        basis = np.vander(z, degree + 1, increasing=True)
+        basis = _power_basis(z, degree)
         coef, _, rank, _ = np.linalg.lstsq(basis, future, rcond=None)
         if rank < degree + 1 and degree > 1:
             degree -= 1
@@ -357,6 +411,16 @@ def value_lsmc(problem: ValidatedProblem, t: float, x: float, n_paths: int,
     se = _bootstrap_se(payoffs, seed, bootstrap)
     return LsmcValue(estimate=estimate, standard_error=se, n_paths=int(keep.sum()),
                      warnings=tuple(warnings))
+
+
+def _power_basis(z: np.ndarray, degree: int) -> np.ndarray:
+    """The C-ordered (n, degree + 1) regression basis 1, z, z^2, ...: bit for bit
+    ``np.vander(z, degree + 1, increasing=True)``, one column product per power."""
+    basis = np.empty((z.size, degree + 1))
+    basis[:, 0] = 1.0
+    for p in range(1, degree + 1):
+        np.multiply(basis[:, p - 1], z, out=basis[:, p])
+    return basis
 
 
 def _bootstrap_se(payoffs: np.ndarray, seed: int, bootstrap: int) -> float:

@@ -39,6 +39,7 @@ from .problems import (
 )
 
 PECLET_SWITCH = 2.0
+RESIDUAL_BLOCK = 16   # backward steps per residual check block; its (16, nx - 1) arrays stay in cache
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
@@ -146,9 +147,10 @@ def _operator_coefficients(mu: np.ndarray, sig2: np.ndarray, dx: float):
 
 
 def _tridiag_apply(lower, diag, upper, v):
+    """The tridiagonal product along the last axis: one system, or one per row."""
     out = diag * v
-    out[1:] += lower[1:] * v[:-1]
-    out[:-1] += upper[:-1] * v[1:]
+    out[..., 1:] += lower[..., 1:] * v[..., :-1]
+    out[..., :-1] += upper[..., :-1] * v[..., 1:]
     return out
 
 
@@ -220,6 +222,28 @@ def _step_theta(theta: float, rannacher: bool, k: int, nt: int) -> float:
     return theta
 
 
+def _step_system(th, dt, co_now, co_next, v_now, v_next, f_now, f_next):
+    """The theta-step's tridiagonal system (lower, diag, upper, rhs) on interior nodes.
+
+    co_now and co_next are the operator coefficients at the step's two
+    nodes, v_next the later slice, v_now the step's own slice (only its
+    Dirichlet edges are read, and folded into rhs), f_now and f_next the
+    running reward (None without one).  Every operation is elementwise, so
+    one step (scalar th and dt, 1-D rows) and a block of steps ((B, 1) th
+    and dt, (B, n) rows) give the same bits, row by row.
+    """
+    lo_n, di_n, up_n = co_now
+    lo_x, di_x, up_x = co_next
+    vn = v_next
+    rhs = vn[..., 1:-1] + (1.0 - th) * dt * (lo_x * vn[..., :-2] + di_x * vn[..., 1:-1]
+                                             + up_x * vn[..., 2:])
+    if f_now is not None:
+        rhs = rhs + dt * (th * f_now[..., 1:-1] + (1.0 - th) * f_next[..., 1:-1])
+    rhs[..., :1] += th * dt * lo_n[..., :1] * v_now[..., :1]
+    rhs[..., -1:] += th * dt * up_n[..., -1:] * v_now[..., -1:]
+    return -th * dt * lo_n, 1.0 - th * dt * di_n, -th * dt * up_n, rhs
+
+
 def _backward_steps(disc: Discretization, theta: float, rannacher: bool, v: np.ndarray):
     """Assemble each backward step's tridiagonal system, from k = nt-1 down to 0.
 
@@ -234,16 +258,10 @@ def _backward_steps(disc: Discretization, theta: float, rannacher: bool, v: np.n
     f = disc.f
     co_next = _operator_coefficients(disc.mu[nt, 1:-1], sig2_i, dx)
     for k in range(nt - 1, -1, -1):
-        th, dt = _step_theta(theta, rannacher, k, nt), steps[k]
-        co_now = lo_n, di_n, up_n = _operator_coefficients(disc.mu[k, 1:-1], sig2_i, dx)
-        lo_x, di_x, up_x = co_next
-        vn = v[k + 1]
-        rhs = vn[1:-1] + (1.0 - th) * dt * (lo_x * vn[:-2] + di_x * vn[1:-1] + up_x * vn[2:])
-        if f is not None:
-            rhs = rhs + dt * (th * f[k][1:-1] + (1.0 - th) * f[k + 1][1:-1])
-        rhs[0] += th * dt * lo_n[0] * v[k, 0]
-        rhs[-1] += th * dt * up_n[-1] * v[k, -1]
-        yield k, -th * dt * lo_n, 1.0 - th * dt * di_n, -th * dt * up_n, rhs
+        co_now = _operator_coefficients(disc.mu[k, 1:-1], sig2_i, dx)
+        f_now, f_next = (None, None) if f is None else (f[k], f[k + 1])
+        yield (k, *_step_system(_step_theta(theta, rannacher, k, nt), steps[k], co_now,
+                                co_next, v[k], v[k + 1], f_now, f_next))
         co_next = co_now
 
 
@@ -355,9 +373,10 @@ def unflip_boundary(boundary: Boundary) -> Boundary:
 def residual_complementarity(surface: ValueSurface):
     """A posteriori check that the surface satisfies its own discrete system.
 
-    Re-assembles each backward step and measures, on interior nodes, the
-    linear-system residual on continuation nodes, the contact gap on
-    stopping nodes, obstacle violations, and wrong-sided stopping nodes.
+    Re-assembles the backward steps, RESIDUAL_BLOCK at a time, and measures,
+    on interior nodes, the linear-system residual on continuation nodes, the
+    contact gap on stopping nodes, obstacle violations, and wrong-sided
+    stopping nodes.
     The tolerance scales with (dt + dx^2), dt the largest step, times the
     magnitude of the discrete generator terms.
     """
@@ -365,28 +384,40 @@ def residual_complementarity(surface: ValueSurface):
 
     grid = surface.grid
     xi = grid.x_nodes[1:-1]
-    dt, dx, steps = grid.dt, grid.dx, grid.steps
+    nt, dt, dx, steps = grid.nt, grid.dt, grid.dx, grid.steps
     psi = surface.obstacle
     v = surface.v
     disc = surface.problem.samples_on(grid)
+    theta, rannacher = surface.meta.theta, surface.meta.rannacher
+    sig2_i = (disc.sigma * disc.sigma)[1:-1]
+    f = disc.f
 
     worst = 0.0
     witness = None
     coef_scale = 1.0
-    for k, lower, diag, upper, rhs in _backward_steps(disc, surface.meta.theta,
-                                                      surface.meta.rannacher, v):
-        av = _tridiag_apply(lower, diag, upper, v[k, 1:-1])
-        gap = v[k, 1:-1] - psi[k, 1:-1]
-        stopping = surface.exercise_mask[k, 1:-1]
+    for hi in range(nt, 0, -RESIDUAL_BLOCK):   # steps lo .. hi - 1, all at once
+        lo = max(hi - RESIDUAL_BLOCK, 0)
+        co = _operator_coefficients(disc.mu[lo:hi + 1, 1:-1], sig2_i, dx)
+        th = np.array([_step_theta(theta, rannacher, k, nt) for k in range(lo, hi)])[:, None]
+        f_now, f_next = (None, None) if f is None else (f[lo:hi], f[lo + 1:hi + 1])
+        lower, diag, upper, rhs = _step_system(
+            th, steps[lo:hi, None], [c[:-1] for c in co], [c[1:] for c in co],
+            v[lo:hi], v[lo + 1:hi + 1], f_now, f_next)
+        vk = v[lo:hi, 1:-1]
+        av = _tridiag_apply(lower, diag, upper, vk)
+        gap = vk - psi[lo:hi, 1:-1]
+        stopping = surface.exercise_mask[lo:hi, 1:-1]
         res = np.where(stopping, np.abs(gap), np.abs(av - rhs))
         res = np.maximum(res, np.maximum(0.0, -gap))          # obstacle violation
         res = np.maximum(res, np.where(stopping, np.maximum(0.0, rhs - av), 0.0))
-        j = int(np.argmax(res))
-        if res[j] > worst:
-            worst = float(res[j])
-            witness = (float(grid.t_nodes[k]), float(xi[j]))
-        gen_scale = np.max(np.abs(av - v[k, 1:-1])) / max(steps[k], 1e-300)
-        coef_scale = max(coef_scale, float(gen_scale))
+        j = res.argmax(axis=1)
+        top = res[np.arange(hi - lo), j]
+        gen_scale = np.max(np.abs(av - vk), axis=1) / np.maximum(steps[lo:hi], 1e-300)
+        for r in range(hi - lo - 1, -1, -1):   # k = hi - 1 down to lo: ties go to the later step
+            if top[r] > worst:
+                worst = float(top[r])
+                witness = (float(grid.t_nodes[lo + r]), float(xi[j[r]]))
+            coef_scale = max(coef_scale, float(gen_scale[r]))
 
     tol = 10.0 * (dt + dx * dx) * coef_scale
     return CheckReport(

@@ -1,6 +1,7 @@
 """Path simulation, couplings, region exits, and the LSMC value oracle."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from stoplab.simulate import (
     DRAW_BLOCK,
     SimulationError,
     _bootstrap_se,
-    _increments,
+    _exit_steps,
+    _increment_blocks,
+    _power_basis,
+    _run_euler,
     coupling_statistic,
     everywhere_region,
     negative_drift_region,
@@ -166,10 +170,14 @@ class TestSimulatePaths:
     @pytest.mark.parametrize("n_paths", [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1,
                                          3 * DRAW_BLOCK + 5])
     def test_increments_are_the_transposed_one_shot_draw(self, n_paths):
-        z = _increments(17, n_paths, 3)
         expect = np.random.Generator(np.random.Philox(17)).standard_normal((n_paths, 3)).T
-        assert z.shape == (3, n_paths) and z.flags.c_contiguous
-        assert np.array_equal(z, expect)
+        seen = 0
+        for lo, hi, z in _increment_blocks(17, n_paths, 3):
+            assert (lo, hi) == (seen, min(seen + DRAW_BLOCK, n_paths))
+            assert z.shape == (3, hi - lo) and z.flags.c_contiguous
+            assert np.array_equal(z, expect[:, lo:hi])
+            seen = hi
+        assert seen == n_paths
 
     def test_pole_window_steps_on_the_solver_nodes(self):
         spec = sl.ProblemSpec(
@@ -189,6 +197,108 @@ class TestSimulatePaths:
         prob = _problem()
         with pytest.raises(SimulationError):
             sl.simulate_paths(prob, 0.0, 0.0, 4, 0, seed=1)
+
+
+SPANNING = [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 3 * DRAW_BLOCK + 5]
+
+
+def _one_shot(problem, times, steps, x, scheme, seed, n_paths):
+    """Reference run without the pipeline: one path-major draw, one full-width Euler pass."""
+    n_steps = len(steps)
+    z = np.random.Generator(np.random.Philox(seed)).standard_normal((n_paths, n_steps))
+    states = np.empty((n_steps + 1, n_paths))
+    poisoned = _run_euler(problem.spec, times, steps, x, np.ascontiguousarray(z.T), scheme,
+                          states)
+    return states, poisoned
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("n_paths", SPANNING)
+    @pytest.mark.parametrize("scheme, drift, sigma, x0, kw", [
+        ("euler", "exp(x*x)", "2", 0.0, {}),
+        ("log_euler", "x*x*x*(x - 2)", "0.4*x", 2.0, {"state_space": StateSpace.POSITIVE_HALF_LINE}),
+    ])
+    def test_simulate_paths_equals_one_shot_reference(self, n_paths, scheme, drift, sigma,
+                                                      x0, kw):
+        prob = _problem(drift=drift, sigma=sigma, **kw)
+        bundle = sl.simulate_paths(prob, 0.0, x0, n_paths, 8, seed=3)
+        states, poisoned = _one_shot(prob, bundle.t_nodes, bundle.steps, x0, scheme, 3, n_paths)
+        assert np.array_equal(bundle.states.T, states)
+        assert np.array_equal(bundle.poisoned, poisoned)
+        if n_paths > 2 * DRAW_BLOCK:   # a full second block holds poisoned and good paths
+            assert poisoned[DRAW_BLOCK:2 * DRAW_BLOCK].any()
+            assert not poisoned[DRAW_BLOCK:2 * DRAW_BLOCK].all()
+
+    @pytest.mark.parametrize("n_paths", SPANNING)
+    def test_simulate_coupled_equals_one_shot_reference(self, n_paths):
+        prob = _problem(drift="exp(x*x) - 1", sigma="2")
+        region = sl.Region(indicator=lambda t, x: np.asarray(x) < 1.5 + t)
+        cb = sl.simulate_coupled(prob, 0.5, 0.25, 0.0, region, n_paths, 8, seed=5)
+        for bundle in (cb.late, cb.early):
+            states, poisoned = _one_shot(prob, bundle.t_nodes, bundle.steps, 0.0, "euler", 5,
+                                         n_paths)
+            assert np.array_equal(bundle.states.T, states)
+            assert np.array_equal(bundle.poisoned, poisoned)
+        late = np.ascontiguousarray(cb.late.states.T)
+        assert np.array_equal(cb.region_exit, _exit_steps(region, cb.late.t_nodes, late))
+        if n_paths > 2 * DRAW_BLOCK:   # a full second block holds poisons and exits
+            second = slice(DRAW_BLOCK, 2 * DRAW_BLOCK)
+            assert cb.late.poisoned[second].any() and cb.early.poisoned[second].any()
+            exits = cb.region_exit[second]
+            assert (exits < 8).any() and (exits == 8).any() and (exits > 0).all()
+
+    def test_callables_run_on_the_calling_thread(self):
+        seen = set()
+
+        def spy(fn):
+            def wrapped(t, x):
+                seen.add(threading.get_ident())
+                return fn(t, x)
+            return wrapped
+
+        spec = sl.ProblemSpec(
+            drift=sl.from_callable(spy(lambda t, x: 0.1 - 0.2 * x)),
+            diffusion=sl.from_callable(spy(lambda t, x: 1.0 + 0.0 * x), time_independent=True),
+            terminal_reward=sl.from_callable(spy(lambda t, x: np.maximum(x, 0.0))),
+            horizon=1.0,
+        )
+        prob = sl.validate_problem(spec, sl.make_grid(1.0, -5, 5, 20, 20))
+        n_paths = 2 * DRAW_BLOCK + 7
+        seen.clear()
+        sl.value_lsmc(prob, 0.0, 0.0, n_paths, 6, 2, seed=1, bootstrap=2)
+        region = sl.Region(indicator=spy(lambda t, x: np.asarray(x) > -1.0))
+        sl.simulate_coupled(prob, 0.5, 0.25, 0.0, region, n_paths, 6, seed=2)
+        assert seen == {threading.get_ident()}
+
+    @pytest.mark.parametrize("call", ["paths", "coupled"])
+    def test_raising_drift_leaves_no_thread_behind(self, call):
+        calls = []
+
+        def drift(t, x):
+            if np.size(x) == DRAW_BLOCK:   # an Euler step, not a grid sample
+                calls.append(t)
+                if len(calls) == 12:   # inside the second block
+                    raise RuntimeError("drift failed")
+            return 0.0 * x
+
+        spec = sl.ProblemSpec(
+            drift=sl.from_callable(drift),
+            diffusion=sl.constant_field(1.0),
+            terminal_reward=sl.from_expression("x", 1.0),
+            horizon=1.0,
+        )
+        prob = sl.validate_problem(spec, sl.make_grid(1.0, -5, 5, 20, 20))
+        before = threading.active_count()
+        # the exception keeps the raising frames alive: the worker must be
+        # joined by then, not when they are collected
+        with pytest.raises(RuntimeError, match="drift failed") as raised:
+            if call == "paths":
+                sl.simulate_paths(prob, 0.0, 0.0, 3 * DRAW_BLOCK, 8, seed=1)
+            else:
+                sl.simulate_coupled(prob, 0.5, 0.25, 0.0, everywhere_region(),
+                                    3 * DRAW_BLOCK, 4, seed=1)
+        assert len(calls) == 12 and raised.traceback
+        assert threading.active_count() == before
 
 
 class TestRegionExit:
@@ -307,6 +417,20 @@ class TestLsmc:
         idx = gen.integers(0, payoffs.size, size=(bootstrap, payoffs.size))
         expect = float(payoffs[idx].mean(axis=1).std(ddof=1))
         assert _bootstrap_se(payoffs, 9, bootstrap) == expect
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_power_basis_is_vander_bit_for_bit(self, degree):
+        rng = np.random.default_rng(degree)
+        z = rng.normal(size=5000)
+        future = np.maximum(z, 0.0) + rng.normal(size=z.size)
+        basis, expect = _power_basis(z, degree), np.vander(z, degree + 1, increasing=True)
+        assert basis.flags.c_contiguous and np.array_equal(basis, expect)
+        # the full basis, and the slice the rank fallback regresses on
+        for cols in {degree + 1, max(degree, 2)}:
+            coef = np.linalg.lstsq(basis[:, :cols], future, rcond=None)[0]
+            ref = np.linalg.lstsq(expect[:, :cols], future, rcond=None)[0]
+            assert np.array_equal(coef, ref)
+            assert np.array_equal(basis[:, :cols] @ coef, expect[:, :cols] @ ref)
 
     def test_deterministic_given_seed(self):
         prob = _problem(drift="0", sigma="1")

@@ -12,7 +12,15 @@ from stoplab.filtering import brownian_bridge_drift
 from stoplab.grids import GridError, time_nodes
 from stoplab.pipeline import prepare_problem
 from stoplab.problems import Orientation, StateSpace
-from stoplab.solver import NEG_INF, POS_INF, _backward_steps, _howard, _tridiag_solve
+from stoplab.solver import (
+    NEG_INF,
+    POS_INF,
+    RESIDUAL_BLOCK,
+    _backward_steps,
+    _howard,
+    _tridiag_apply,
+    _tridiag_solve,
+)
 
 
 def _spec(drift="0", sigma="1", terminal="x", horizon=1.0, **kw):
@@ -199,7 +207,54 @@ class TestExtractBoundary:
         assert 3 in b.non_separated
 
 
+def _residual_per_step(surface):
+    """Reference residual check: one backward step at a time, k = nt-1 down to 0,
+    a strictly larger residual replacing the witness."""
+    grid, v, psi = surface.grid, surface.v, surface.obstacle
+    xi = grid.x_nodes[1:-1]
+    worst, witness, coef_scale = 0.0, None, 1.0
+    for k, lower, diag, upper, rhs in _backward_steps(surface.problem.disc, surface.meta.theta,
+                                                      surface.meta.rannacher, v):
+        av = _tridiag_apply(lower, diag, upper, v[k, 1:-1])
+        gap = v[k, 1:-1] - psi[k, 1:-1]
+        stopping = surface.exercise_mask[k, 1:-1]
+        res = np.where(stopping, np.abs(gap), np.abs(av - rhs))
+        res = np.maximum(res, np.maximum(0.0, -gap))
+        res = np.maximum(res, np.where(stopping, np.maximum(0.0, rhs - av), 0.0))
+        j = int(np.argmax(res))
+        if res[j] > worst:
+            worst, witness = float(res[j]), (float(grid.t_nodes[k]), float(xi[j]))
+        gen_scale = np.max(np.abs(av - v[k, 1:-1])) / max(grid.steps[k], 1e-300)
+        coef_scale = max(coef_scale, float(gen_scale))
+    return worst, witness, 10.0 * (grid.dt + grid.dx * grid.dx) * coef_scale
+
+
 class TestResidualAndConvergence:
+    @pytest.mark.parametrize("nt", [RESIDUAL_BLOCK - 1, RESIDUAL_BLOCK, RESIDUAL_BLOCK + 1,
+                                    2 * RESIDUAL_BLOCK + 1])
+    def test_blocked_residual_equals_per_step_scan(self, nt):
+        spec = _spec(drift="x*t - 0.3", sigma="1 + x*x/20",
+                     running_reward=sl.from_expression("0.2*x - t", 1.0))
+        grid = sl.build_grid(spec, 4.0, nt, 30, x_ref=0.0)
+        surf = sl.solve_backward(sl.validate_problem(spec, grid), grid)
+        report = sl.residual_complementarity(surf)
+        assert (report.worst_violation, report.witness, report.tolerance) == \
+            _residual_per_step(surf)
+
+        # equal residuals at two steps, in different blocks when nt > RESIDUAL_BLOCK:
+        # the later step is the witness
+        k_late, k_early, j = nt - 5, 2, 12
+        v, mask = surf.v.copy(), surf.exercise_mask.copy()
+        for k in (k_late, k_early):
+            v[k, j] = surf.obstacle[k, j] + 0.25
+            mask[k, j] = True
+        bumped = dataclasses.replace(surf, v=v, exercise_mask=mask)
+        report = sl.residual_complementarity(bumped)
+        expect = _residual_per_step(bumped)
+        assert (report.worst_violation, report.witness, report.tolerance) == expect
+        assert expect[0] == v[k_late, j] - surf.obstacle[k_late, j]
+        assert expect[1] == (grid.t_nodes[k_late], grid.x_nodes[j])
+
     def test_martingale_residual_zero(self):
         surf = _solve(_spec(drift="0"), n=60)
         report = sl.residual_complementarity(surf)
