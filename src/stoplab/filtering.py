@@ -233,7 +233,7 @@ def brownian_bridge_drift(pin: float, pin_time: float) -> ScalarField:
 
     def evaluator(t, x):
         t = np.asarray(t, dtype=float)
-        if np.any(t >= pin_time):
+        if (t >= pin_time).any():   # not np.any, whose dispatch costs more: runs every Euler step
             raise DriftFamilyError(
                 f"bridge drift evaluated at t={float(np.max(t))} >= pin time {pin_time}"
             )

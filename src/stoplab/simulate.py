@@ -179,25 +179,23 @@ def _run_euler(spec, times: np.ndarray, steps: np.ndarray, x: float, z: np.ndarr
             raise SimulationError(f"log-space scheme needs a positive start state, got {x}")
         logx = np.full(n_paths, np.log(x))
     cur = states[0].copy()
-    for k in range(n_steps):
-        tk, dt = times[k], steps[k]
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for k in range(n_steps):
+            tk, dt = times[k], steps[k]
+            s = np.asarray(sigma(0.0, cur), dtype=float)
             if scheme == LOG_EULER:
-                s = np.asarray(sigma(0.0, cur), dtype=float)
                 drift_term = np.asarray(mu(tk, cur), dtype=float) / cur - 0.5 * (s / cur) ** 2
                 step = drift_term * dt + (s / cur) * sqdt[k] * z[k]
                 logx = np.where(poisoned, logx, logx + step) if any_poisoned else logx + step
                 nxt = np.exp(logx)
             else:
-                s = np.asarray(sigma(0.0, cur), dtype=float)
                 nxt = cur + np.asarray(mu(tk, cur), dtype=float) * dt + s * sqdt[k] * z[k]
-        bad = ~np.isfinite(nxt)
-        if any_poisoned or bad.any():
-            poisoned |= bad
-            any_poisoned = True
-            nxt = np.where(poisoned, cur, nxt)   # freeze poisoned paths at last good state
-        states[k + 1] = nxt
-        cur = nxt
+            if any_poisoned or not np.isfinite(nxt).all():
+                poisoned |= ~np.isfinite(nxt)
+                any_poisoned = True
+                nxt = np.where(poisoned, cur, nxt)   # freeze poisoned paths at last good state
+            states[k + 1] = nxt
+            cur = nxt
     return poisoned
 
 
