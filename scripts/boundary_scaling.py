@@ -18,13 +18,12 @@ import time
 import numpy as np
 
 import stoplab as sl
-from stoplab.filtering import brownian_bridge_drift
 from stoplab.problems import Orientation
 
 
 def bridge_problem():
     spec_up = sl.ProblemSpec(
-        drift=brownian_bridge_drift(0.0, 1.0),
+        drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
         diffusion=sl.constant_field(1.0),
         terminal_reward=sl.from_expression("x", 1.0),
         horizon=1.0,

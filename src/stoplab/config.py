@@ -11,16 +11,22 @@ a silently ignored typo in a check name would fake a verification.
 from __future__ import annotations
 
 import configparser
+import math
 import os
+import string
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import exprs
 from .checks import CHECKS
 
-# the keys each drift family and each filtering prior needs
-FAMILIES = {"bm_time_drift": ("mu_t",), "gbm": ("gamma_t",), "brownian_bridge": ("pin",),
-            "ou_time_mean": ("rate", "mean_t"), "filtering": ("prior",)}
+# each drift family's drift as an expression template; its fields are the keys
+# the family needs, and a float is filled in by its repr, which parses back to
+# the same double.  The filtering template only names its key: that drift is
+# built from the prior (see pipeline.build_problem).
+FAMILIES = {"bm_time_drift": "{mu_t}", "gbm": "x*({gamma_t})",
+            "brownian_bridge": "({pin!r} - x)/(T - t)",
+            "ou_time_mean": "{rate!r}*(({mean_t}) - x)", "filtering": "{prior}"}
 PRIORS = {"two_point": ("p", "low", "high"), "gaussian": ("prior_mean", "prior_var")}
 
 
@@ -169,10 +175,13 @@ _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0"
 
 def _number(kind, raw: str, key: str):
     try:
-        return kind(raw)
+        value = kind(raw)
+        if kind is int or math.isfinite(value):
+            return value
     except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"key {key!r}: expected {what}, got {raw!r}") from None
+        pass
+    what = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"key {key!r}: expected {what}, got {raw!r}")
 
 
 def _parse_value(key: Key, raw: str):
@@ -263,8 +272,8 @@ def _validate(values: dict) -> None:
     if "simulation" in values and "seed" not in values["simulation"]:
         raise ConfigError("section [simulation] requires an explicit seed (no entropy defaults)")
     fam = prob.get("drift_family")
-    for key in FAMILIES.get(fam, ()):
-        if key not in prob:
+    for _, key, _, _ in string.Formatter().parse(FAMILIES.get(fam, "")):
+        if key and key not in prob:
             raise ConfigError(f"drift_family {fam!r} requires key {key!r}")
     if fam == "filtering":
         for key in PRIORS[prob["prior"]]:

@@ -204,53 +204,6 @@ def gaussian_drift(mean: float, variance: float, t, x):
     return out if out.ndim else float(out)
 
 
-# ---------------------------------------------------------------------------
-# built-in drift families
-
-
-class DriftFamilyError(ValueError):
-    pass
-
-
-def bm_time_drift(mu_of_t: Callable[[float], float], source: str = "mu(t)") -> ScalarField:
-    """Drift that depends on time only."""
-    return from_callable(
-        lambda t, x: np.asarray(mu_of_t(t), dtype=float) + 0.0 * np.asarray(x, dtype=float),
-        source=f"bm_time_drift({source})",
-    )
-
-
-def gbm_drift(gamma_of_t: Callable[[float], float], source: str = "gamma(t)") -> ScalarField:
-    """Multiplicative drift x * gamma(t) for positive processes."""
-    return from_callable(
-        lambda t, x: np.asarray(x, dtype=float) * np.asarray(gamma_of_t(t), dtype=float),
-        source=f"gbm({source})",
-    )
-
-
-def brownian_bridge_drift(pin: float, pin_time: float) -> ScalarField:
-    """Pull (pin - x) / (pin_time - t) toward the pin; undefined at t >= pin_time."""
-
-    def evaluator(t, x):
-        t = np.asarray(t, dtype=float)
-        if (t >= pin_time).any():   # not np.any, whose dispatch costs more: runs every Euler step
-            raise DriftFamilyError(
-                f"bridge drift evaluated at t={float(np.max(t))} >= pin time {pin_time}"
-            )
-        return (pin - np.asarray(x, dtype=float)) / (pin_time - t)
-
-    return from_callable(evaluator, source=f"brownian_bridge(pin={pin}, T={pin_time})")
-
-
-def ou_time_mean_drift(rate: float, mean_of_t: Callable[[float], float],
-                       source: str = "m(t)") -> ScalarField:
-    """Mean reversion rate * (m(t) - x) with a time-dependent level."""
-    return from_callable(
-        lambda t, x: rate * (np.asarray(mean_of_t(t), dtype=float) - np.asarray(x, dtype=float)),
-        source=f"ou_time_mean(rate={rate}, {source})",
-    )
-
-
 def filtering_drift(prior: Prior) -> ScalarField:
     """Posterior-mean drift for the given prior; closed forms where they exist."""
     if prior.kind is PriorKind.TWO_POINT:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import filtering
 from .checks import CHECKS, CheckInputs
-from .config import ProblemConfig, RunConfig, save_config_text
+from .config import FAMILIES, ProblemConfig, RunConfig, save_config_text
 from .fields import from_expression
 from .problems import (
     Orientation,
@@ -77,33 +77,24 @@ class RunArtifacts:
 
 
 def build_problem(cfg: ProblemConfig) -> ProblemSpec:
-    """Materialize the coefficient fields described by a problem config."""
+    """Materialize the coefficient fields described by a problem config.
+
+    A drift family's drift is its ``config.FAMILIES`` template filled in from
+    the config; the filtering family's is the posterior drift of its prior.
+    """
     horizon = cfg.horizon
-    if cfg.drift is not None:
-        drift = from_expression(cfg.drift, horizon, role="drift")
-        pole = bool(cfg.pole_at_horizon)
+    fam = cfg.drift_family
+    if fam == "filtering":
+        if cfg.prior == "two_point":
+            prior = filtering.two_point_prior(cfg.p, cfg.low, cfg.high)
+        else:
+            prior = filtering.gaussian_prior(cfg.prior_mean, cfg.prior_var)
+        drift = filtering.filtering_drift(prior)
     else:
-        fam = cfg.drift_family
-        if fam == "bm_time_drift":
-            mu_t = from_expression(cfg.mu_t, horizon, role="mu_t")
-            drift = filtering.bm_time_drift(lambda t: mu_t(t, 0.0), source=cfg.mu_t)
-        elif fam == "gbm":
-            gamma = from_expression(cfg.gamma_t, horizon, role="gamma_t")
-            drift = filtering.gbm_drift(lambda t: gamma(t, 0.0), source=cfg.gamma_t)
-        elif fam == "brownian_bridge":
-            drift = filtering.brownian_bridge_drift(cfg.pin, horizon)
-        elif fam == "ou_time_mean":
-            mean_t = from_expression(cfg.mean_t, horizon, role="mean_t")
-            drift = filtering.ou_time_mean_drift(cfg.rate, lambda t: mean_t(t, 0.0),
-                                                 source=cfg.mean_t)
-        else:  # filtering
-            if cfg.prior == "two_point":
-                prior = filtering.two_point_prior(cfg.p, cfg.low, cfg.high)
-            else:
-                prior = filtering.gaussian_prior(cfg.prior_mean, cfg.prior_var)
-            drift = filtering.filtering_drift(prior)
-        pole = cfg.pole_at_horizon if cfg.pole_at_horizon is not None \
-            else (fam == "brownian_bridge")
+        text = cfg.drift if fam is None else FAMILIES[fam].format_map(vars(cfg))
+        drift = from_expression(text, horizon, role="drift")
+    pole = cfg.pole_at_horizon if cfg.pole_at_horizon is not None \
+        else (fam == "brownian_bridge")
 
     sigma = from_expression(cfg.sigma, horizon, allow_t=False, role="sigma")
     terminal = from_expression(cfg.terminal, horizon, role="terminal")

@@ -6,7 +6,6 @@ import pytest
 
 import stoplab as sl
 from stoplab import exprs
-from stoplab.filtering import brownian_bridge_drift
 from stoplab.problems import Orientation
 
 
@@ -89,7 +88,7 @@ def martingale_problem():
 @pytest.fixture
 def bridge_problem_upper():
     return sl.ProblemSpec(
-        drift=brownian_bridge_drift(0.0, 1.0),
+        drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
         diffusion=sl.constant_field(1.0),
         terminal_reward=sl.from_expression("x", 1.0),
         horizon=1.0,

@@ -21,11 +21,7 @@ import stoplab as sl
 from stoplab import checks as ck
 from stoplab import exprs
 from stoplab.config import builtin_examples
-from stoplab.filtering import (
-    brownian_bridge_drift,
-    two_point_drift,
-    two_point_drift_dt,
-)
+from stoplab.filtering import two_point_drift, two_point_drift_dt
 from stoplab.pipeline import run_problem
 from stoplab.problems import Orientation, StateSpace
 from stoplab.reports import FAIL, PASS
@@ -43,7 +39,7 @@ def _expr_field(text, horizon=1.0, **kw):
 
 def _bridge_spec(terminal="x", orientation=Orientation.UPPER):
     return sl.ProblemSpec(
-        drift=brownian_bridge_drift(0.0, 1.0),
+        drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
         diffusion=sl.constant_field(1.0),
         terminal_reward=_expr_field(terminal),
         horizon=1.0,

@@ -5,7 +5,6 @@ import pytest
 
 import stoplab as sl
 from stoplab import checks as ck
-from stoplab.filtering import brownian_bridge_drift
 from stoplab.problems import Orientation
 from stoplab.reports import FAIL, INCONCLUSIVE, PASS
 from stoplab.solver import NEG_INF, POS_INF, Boundary, SchemeMeta, ValueSurface
@@ -59,7 +58,7 @@ class TestDriftTimeMonotone:
         assert r.verdict == FAIL
 
     def test_bridge_region_vs_everywhere(self):
-        drift = brownian_bridge_drift(0.0, 1.0)
+        drift = sl.from_expression("(0.0 - x)/(T - t)", 1.0)
         grid = _grid(t_end=0.99)
         region = ck.check_drift_time_monotone(drift, grid, scope=ck.WHERE_DRIFT_NEGATIVE)
         everywhere = ck.check_drift_time_monotone(drift, grid, scope=ck.EVERYWHERE)
@@ -106,7 +105,7 @@ class TestCurvatureBalance:
 
     def test_bridge_exp_surface_passes(self):
         spec_up = sl.ProblemSpec(
-            drift=brownian_bridge_drift(0.0, 1.0),
+            drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
             diffusion=sl.constant_field(1.0),
             terminal_reward=_field("exp(x)"),
             horizon=1.0, orientation=Orientation.UPPER, pole_at_horizon=True,
@@ -209,7 +208,8 @@ class TestClassifyRegions:
 
     def test_bridge_negative_drift_region_is_positive_states(self):
         spec = sl.ProblemSpec(
-            drift=brownian_bridge_drift(0.0, 1.0), diffusion=sl.constant_field(1.0),
+            drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
+            diffusion=sl.constant_field(1.0),
             terminal_reward=_field("x"), horizon=1.0, pole_at_horizon=True,
         )
         grid = sl.build_grid(spec, 5.0, 40, 40, x_ref=0.0)
@@ -263,7 +263,8 @@ class TestTheoremPipelines:
 
     def test_region_weakened_pipeline_bridge(self):
         spec_up = sl.ProblemSpec(
-            drift=brownian_bridge_drift(0.0, 1.0), diffusion=sl.constant_field(1.0),
+            drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
+            diffusion=sl.constant_field(1.0),
             terminal_reward=_field("exp(x)"), horizon=1.0,
             orientation=Orientation.UPPER, pole_at_horizon=True,
         )

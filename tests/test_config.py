@@ -48,9 +48,31 @@ def test_minimal_config_loads():
     assert cfg.simulation.seed == 42
 
 
-def test_sigma_time_dependence_rejected():
-    with pytest.raises(ConfigError, match="sigma must not depend on t"):
-        loads_config(MINIMAL.replace('sigma = "1"', 'sigma = "t*x"'))
+@pytest.mark.parametrize("key, var, lines", [
+    ("sigma", "t", 'drift = "0"\nsigma = "t*x"'),
+    ("mu_t", "x", 'drift_family = bm_time_drift\nmu_t = "x"'),
+    ("gamma_t", "x", 'drift_family = gbm\ngamma_t = "1 - x"'),
+    ("mean_t", "x", 'drift_family = ou_time_mean\nrate = 1.0\nmean_t = "t*x"'),
+])
+def test_coefficient_dependence_rejected(key, var, lines):
+    text = MINIMAL.replace('drift = "0"\nsigma = "1"', lines)
+    with pytest.raises(ConfigError, match=f"{key} must not depend on {var}"):
+        loads_config(text)
+
+
+@pytest.mark.parametrize("raw", ["nan", "-inf", "1e400"])
+@pytest.mark.parametrize("key", [k for k in KEYS if k.kind == "float"], ids=lambda k: k.name)
+def test_non_finite_float_rejected(key, raw):
+    header = f"[{key.section}]\n"
+    text = re.sub(rf"^{key.name} = .*\n", "", MINIMAL, flags=re.M)
+    text = text.replace(header, f"{header}{key.name} = {raw}\n")
+    with pytest.raises(ConfigError, match=f"key '{key.name}': expected a finite number"):
+        loads_config(text)
+
+
+def test_non_finite_coupling_rejected():
+    with pytest.raises(ConfigError, match="key 'couplings': expected a finite number"):
+        loads_config(MINIMAL.replace("seed = 42", "seed = 42\ncouplings = 0.25 nan 1.0"))
 
 
 def test_unknown_key_rejected():

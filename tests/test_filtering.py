@@ -1,12 +1,15 @@
 """Posterior drifts: closed forms vs quadrature oracles, sign law, bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stoplab import filtering as flt
+from stoplab.config import builtin_examples
+from stoplab.pipeline import StageError, prepare_problem
 
 
 def quadrature_posterior(weights, locations, t, x):
@@ -168,27 +171,32 @@ class TestPosteriorDrift:
         assert any("extreme" in w for w in prior.warnings)
 
 
+# the gallery's family drifts by the formulas of the callables they replaced,
+# with the gallery's parameters: pin 0, rate 1 and 1 - t for every t-only key
+_FAMILY_REFERENCES = {
+    "bm_time_drift": lambda t, x: (1.0 - t) + 0.0 * x,
+    "gbm_time_drift": lambda t, x: x * (1.0 - t),
+    "brownian_bridge_exp": lambda t, x: (0.0 - x) / (1.0 - t),
+    "brownian_bridge_linear_flipped": lambda t, x: (0.0 - x) / (1.0 - t),
+    "ou_time_mean": lambda t, x: 1.0 * ((1.0 - t) - x),
+}
+
+
 class TestDriftFamilies:
-    def test_bridge_pull(self):
-        field = flt.brownian_bridge_drift(0.0, 1.0)
-        assert field(0.5, 1.0) == -2.0
+    @pytest.mark.parametrize("name", sorted(_FAMILY_REFERENCES))
+    def test_gallery_family_drift_is_its_formula_bit_for_bit(self, name):
+        disc = prepare_problem(builtin_examples()[name]).disc   # build_problem's drift, sampled
+        ref = _FAMILY_REFERENCES[name](disc.grid.t_nodes[:, None], disc.grid.x_nodes[None, :])
+        assert disc.mu.shape == ref.shape == (401, 401)
+        assert disc.mu.tobytes() == ref.tobytes()
 
-    def test_bridge_pole_raises(self):
-        field = flt.brownian_bridge_drift(0.0, 1.0)
-        with pytest.raises(flt.DriftFamilyError):
-            field(1.0, 0.5)
-
-    def test_gbm(self):
-        field = flt.gbm_drift(lambda t: 1.0 - t)
-        assert field(0.5, 2.0) == pytest.approx(1.0)
-
-    def test_ou_time_mean(self):
-        field = flt.ou_time_mean_drift(1.0, lambda t: 0.0)
-        assert field(0.2, 3.0) == -3.0
-
-    def test_bm_time_drift_ignores_state(self):
-        field = flt.bm_time_drift(lambda t: 1.0 - t)
-        assert field(0.25, 123.0) == pytest.approx(0.75)
+    def test_bridge_without_pole_fails_validation_at_the_horizon(self):
+        cfg = builtin_examples()["brownian_bridge_linear_flipped"]
+        cfg = replace(cfg, problem=replace(cfg.problem, pole_at_horizon=False))
+        with pytest.raises(StageError) as err:
+            prepare_problem(cfg)
+        assert err.value.stage == "validate"
+        assert "t=1.0" in str(err.value)
 
     def test_filtering_family_wires_closed_form(self):
         prior = flt.two_point_prior(0.5, -1.0, 2.0)

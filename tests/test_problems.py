@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import stoplab as sl
-from stoplab.filtering import brownian_bridge_drift
 from stoplab.problems import (
     Orientation,
     OrientationError,
@@ -38,7 +37,7 @@ class TestValidate:
 
     def test_bridge_blowup_warning(self):
         spec = sl.ProblemSpec(
-            drift=brownian_bridge_drift(0.0, 1.0),
+            drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
             diffusion=sl.constant_field(1.0),
             terminal_reward=sl.from_expression("x", 1.0),
             horizon=1.0,
@@ -77,7 +76,7 @@ class TestValidate:
 class TestFlip:
     def test_bridge_drift_self_symmetric(self):
         spec = sl.ProblemSpec(
-            drift=brownian_bridge_drift(0.0, 1.0),
+            drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
             diffusion=sl.constant_field(1.0),
             terminal_reward=sl.from_expression("x", 1.0),
             horizon=1.0,
@@ -141,7 +140,7 @@ class TestReduce:
 
     def test_exponential_reward_bridge(self):
         spec = sl.ProblemSpec(
-            drift=brownian_bridge_drift(0.0, 1.0),
+            drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
             diffusion=sl.constant_field(0.5),
             terminal_reward=sl.from_expression("exp(x)", 1.0),
             horizon=1.0,

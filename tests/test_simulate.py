@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import stoplab as sl
-from stoplab.filtering import brownian_bridge_drift
 from stoplab.problems import StateSpace
 from stoplab.simulate import (
     DRAW_BLOCK,
@@ -63,7 +62,7 @@ def _euler_path_major(problem, bundle, z):
 
 def _bridge_coupling():
     spec = sl.ProblemSpec(
-        drift=brownian_bridge_drift(0.0, 1.0),
+        drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
         diffusion=sl.constant_field(1.0),
         terminal_reward=sl.from_expression("x", 1.0),
         horizon=1.0,
@@ -101,7 +100,7 @@ class TestSimulatePaths:
         # Pinning one step beyond the horizon keeps the drift finite on [0, T'].
         horizon = 0.999
         spec = sl.ProblemSpec(
-            drift=brownian_bridge_drift(0.0, 1.0),
+            drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
             diffusion=sl.constant_field(1.0),
             terminal_reward=sl.from_expression("x", horizon),
             horizon=horizon,
@@ -181,7 +180,7 @@ class TestSimulatePaths:
 
     def test_pole_window_steps_on_the_solver_nodes(self):
         spec = sl.ProblemSpec(
-            drift=brownian_bridge_drift(0.0, 1.0),
+            drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
             diffusion=sl.constant_field(1.0),
             terminal_reward=sl.from_expression("x", 1.0),
             horizon=1.0,

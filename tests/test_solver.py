@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stoplab as sl
-from stoplab.filtering import brownian_bridge_drift
 from stoplab.grids import GridError, time_nodes
 from stoplab.pipeline import prepare_problem
 from stoplab.problems import Orientation, StateSpace
@@ -57,7 +56,7 @@ class TestBuildGrid:
 
     def test_pole_shaves_horizon(self):
         spec = sl.ProblemSpec(
-            drift=brownian_bridge_drift(0.0, 1.0),
+            drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
             diffusion=sl.constant_field(1.0),
             terminal_reward=sl.from_expression("x", 1.0),
             horizon=1.0,
@@ -176,7 +175,7 @@ class TestExtractBoundary:
 
     def test_bridge_boundary_scaling_against_refined_grid(self):
         spec_up = sl.ProblemSpec(
-            drift=brownian_bridge_drift(0.0, 1.0),
+            drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
             diffusion=sl.constant_field(1.0),
             terminal_reward=sl.from_expression("x", 1.0),
             horizon=1.0, orientation=Orientation.UPPER, pole_at_horizon=True,
@@ -267,7 +266,7 @@ class TestResidualAndConvergence:
 
     def test_bridge_residual_passes_coarse_and_fine(self):
         spec = sl.flip_orientation(sl.ProblemSpec(
-            drift=brownian_bridge_drift(0.0, 1.0),
+            drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
             diffusion=sl.constant_field(1.0),
             terminal_reward=sl.from_expression("exp(x)", 1.0),
             horizon=1.0, orientation=Orientation.UPPER, pole_at_horizon=True,
@@ -278,7 +277,7 @@ class TestResidualAndConvergence:
 
     def test_grid_cascade_changes_shrink(self):
         spec = sl.flip_orientation(sl.ProblemSpec(
-            drift=brownian_bridge_drift(0.0, 1.0),
+            drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
             diffusion=sl.constant_field(1.0),
             terminal_reward=sl.from_expression("exp(x)", 1.0),
             horizon=1.0, orientation=Orientation.UPPER, pole_at_horizon=True,
