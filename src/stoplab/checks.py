@@ -1,9 +1,10 @@
 """Grid-sampled checks of monotonicity hypotheses and solved-surface conclusions.
 
 All verdicts are "at grid scale": the coefficient fields are black-box
-evaluators, so hypotheses are sampled on probe pairs, never proved, and the
-conclusion tolerances are tied to the solver tolerances so that a true
-conclusion does not fail on discretization noise.
+evaluators, so hypotheses are sampled on probe pairs, never proved.  The
+monotonicity tolerances are the solver's round-off rule (``round_off``), so an
+exact zero on the grid passes and a violation above round-off fails; region
+checks read the exercise mask, which is the solver's own stop set.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .solver import (
     Boundary,
     ValueSurface,
     residual_complementarity,
+    round_off,
     value_at,
 )
 from .problems import Orientation, ValidatedProblem, sample_rows
@@ -33,12 +35,8 @@ EVERYWHERE = "everywhere"
 WHERE_DRIFT_NEGATIVE = "where_drift_negative"
 
 
-def _mono_tol(values: np.ndarray) -> float:
-    return 1e-12 * (1.0 + float(np.max(np.abs(values))))
-
-
 def _reward_x_monotone(rows: np.ndarray, grid: Grid) -> CheckReport:
-    tol = _mono_tol(rows)
+    tol = round_off(rows)
     drops = rows[:, :-1] - rows[:, 1:]  # positive where the reward decreases
     worst = float(np.max(drops))
     if worst <= tol:
@@ -59,7 +57,7 @@ def _drift_t_monotone(rows: np.ndarray, grid: Grid, scope: str,
                       tol_zero: float = TOL_ZERO) -> CheckReport:
     if scope not in (EVERYWHERE, WHERE_DRIFT_NEGATIVE):
         raise ValueError(f"unknown scope {scope!r}")
-    tol = _mono_tol(rows)
+    tol = round_off(rows)
     rises = rows[1:, :] - rows[:-1, :]  # positive where drift increases with t
     if scope == WHERE_DRIFT_NEGATIVE:
         in_region = rows[1:, :] < -tol_zero  # later point must be in the region
@@ -219,10 +217,10 @@ def check_value_time_monotone(surface: ValueSurface) -> CheckReport:
     side, capped at 20% of the columns) is excluded: the Dirichlet edge pins
     the value to the obstacle there, and where the true solution continues
     past the edge that clamp error grows with time-to-go, faking a rise in t
-    that says nothing about the problem being checked.
+    that says nothing about the problem being checked.  The tolerance is v's round-off.
     """
     v = surface.v
-    tol = 10.0 * surface.tol_contact
+    tol = round_off(v)
     skip = _edge_band_columns(surface)
     band = slice(skip, v.shape[1] - skip)
     rises = v[1:, band] - v[:-1, band]
@@ -251,11 +249,17 @@ def check_boundary_monotone(boundary: Boundary) -> CheckReport:
     Lower boundaries must be nondecreasing, upper boundaries nonincreasing,
     both with one-cell slack on finite pairs.  Sentinel transitions must
     respect the same order (e.g. all-continuation before finite before
-    all-stopping for the lower case).
+    all-stopping for the lower case).  A boundary with a non-separated slice
+    is not a function of t there, so the check is INCONCLUSIVE and names the
+    first such slice.
     """
     b = boundary.values
     ts = boundary.t_nodes
     dx = boundary.cell_size
+    if boundary.non_separated:
+        k = boundary.non_separated[0]
+        return CheckReport("boundary_monotone", INCONCLUSIVE, 0.0, (float(ts[k]), float(b[k])), dx,
+                           f"non-separated slices, the first at t={ts[k]:.6g}")
     lower = boundary.orientation is Orientation.LOWER
     sign = 1.0 if lower else -1.0
     worst = -np.inf
@@ -299,16 +303,14 @@ def check_value_continuity(surface: ValueSurface) -> CheckReport:
     skip = _edge_band_columns(surface)
     cols = slice(skip, surface.v.shape[1] - skip)
     v = surface.v[:, cols]
-    jump_x = float(np.max(np.abs(np.diff(v, axis=1)))) if v.shape[1] > 1 else 0.0
-    # a time jump is only suspicious beyond what local transport moves in one
-    # step; near a drift pole the per-step displacement spans many cells
-    if v.shape[0] > 1:
-        mu = surface.problem.samples_on(grid).mu[:-1, cols]
-        courant = np.abs(mu) * grid.steps[:, None] / grid.dx
-        jump_t = float(np.max(np.abs(np.diff(surface.v[:, cols], axis=0)) / (1.0 + courant)))
-    else:
-        jump_t = 0.0
-    worst = max(jump_x, jump_t)
+    # a node holds the largest jump landing on it from the left or from the step before;
+    # a time jump counts beyond one step of transport (near a pole that spans many cells)
+    courant = np.abs(surface.problem.samples_on(grid).mu[:-1, cols]) * grid.steps[:, None] / grid.dx
+    jumps = np.zeros_like(v)
+    jumps[:, 1:] = np.abs(np.diff(v, axis=1))
+    jumps[1:] = np.maximum(jumps[1:], np.abs(np.diff(v, axis=0)) / (1.0 + courant))
+    k, j = np.unravel_index(np.argmax(jumps), jumps.shape)
+    worst = float(jumps[k, j])
     vrange = float(np.max(v) - np.min(v))
     if vrange == 0.0:
         return CheckReport("value_continuity", PASS, 0.0, None, 0.0, "flat surface")
@@ -316,7 +318,8 @@ def check_value_continuity(surface: ValueSurface) -> CheckReport:
     t_extent = max(float(grid.t_nodes[-1] - grid.t_nodes[0]), grid.dt)
     tol = 50.0 * vrange * max(grid.dx / x_extent, grid.dt / t_extent)
     verdict = PASS if worst <= tol else FAIL
-    return CheckReport("value_continuity", verdict, worst, None, tol,
+    witness = (float(grid.t_nodes[k]), float(grid.x_nodes[skip + j])) if verdict == FAIL else None
+    return CheckReport("value_continuity", verdict, worst, witness, tol,
                        f"max neighbour jump vs 50x the smooth-surface scale {tol:.3g}")
 
 

@@ -61,8 +61,7 @@ class ValueSurface:
     grid: Grid
     v: np.ndarray          # (nt+1, nx+1)
     obstacle: np.ndarray   # same shape
-    exercise_mask: np.ndarray  # v - obstacle <= tol_contact
-    tol_contact: float
+    exercise_mask: np.ndarray  # v <= obstacle: the solver's stop set, v == obstacle bit for bit
     problem: ValidatedProblem
     meta: SchemeMeta
 
@@ -120,6 +119,11 @@ def build_grid(problem, x_pad: float, nt: int, nx: int, x_ref: float | None = No
     pole = spec.pole_at_horizon
     return Grid(t_nodes=time_nodes(0.0, spec.horizon, nt, pole),
                 x_nodes=np.linspace(x_min, x_max, nx + 1), graded=pole)
+
+
+def round_off(a) -> float:
+    """The round-off level of quantities of the size of ``a``: 1e-12 (1 + max|a|)."""
+    return 1e-12 * (1.0 + float(np.max(np.abs(a))))
 
 
 def _operator_coefficients(mu: np.ndarray, sig2: np.ndarray, dx: float):
@@ -198,7 +202,7 @@ def _howard(lower, diag, upper, rhs, psi, v0, where):
     most n steps on the exact discrete solution (Bokanowski, Maroso & Zidani
     2009).  Returns (v, iterations, residual).
     """
-    tie = 1e-12 * (1.0 + float(np.max(np.abs(rhs))))
+    tie = round_off(rhs)
     v = np.maximum(v0, psi)
     gap, slack = v - psi, _tridiag_apply(lower, diag, upper, v) - rhs
     res = float(np.max(np.abs(np.minimum(gap, slack))))
@@ -273,7 +277,8 @@ def solve_backward(problem: ValidatedProblem, grid: Grid, theta: float = 0.5, *,
     the theta-scheme step's complementarity problem, so v equals the obstacle
     on stop nodes and is at least the obstacle, to round-off, elsewhere.  The
     obstacle is the validated sample of the terminal reward; spatial edges
-    carry Dirichlet values equal to it.
+    carry Dirichlet values equal to it.  The exercise mask is the stop set
+    v <= obstacle, read off v with no tolerance.
     """
     disc = problem.samples_on(grid)
     ts = grid.t_nodes
@@ -290,12 +295,10 @@ def solve_backward(problem: ValidatedProblem, grid: Grid, theta: float = 0.5, *,
                                                  v[k + 1, 1:-1], where=f"t={ts[k]:.6g}")
         worst_res = max(worst_res, res)
 
-    tol_contact = 1e-7 * (1.0 + float(np.max(np.abs(psi))))
-    mask = (v - psi) <= tol_contact
     meta = SchemeMeta(theta=theta, rannacher=rannacher, psor_sweeps=iterations,
                       psor_worst_residual=worst_res)
-    return ValueSurface(grid=grid, v=v, obstacle=psi, exercise_mask=mask,
-                        tol_contact=tol_contact, problem=problem, meta=meta)
+    return ValueSurface(grid=grid, v=v, obstacle=psi, exercise_mask=v <= psi,
+                        problem=problem, meta=meta)
 
 
 def extract_boundary(surface: ValueSurface) -> Boundary:
@@ -353,7 +356,6 @@ def unflip_surface(surface: ValueSurface, original: ValidatedProblem) -> ValueSu
         v=surface.v[:, ::-1].copy(),
         obstacle=problem.disc.g,
         exercise_mask=surface.exercise_mask[:, ::-1].copy(),
-        tol_contact=surface.tol_contact,
         problem=problem,
         meta=surface.meta,
     )
@@ -371,63 +373,49 @@ def unflip_boundary(boundary: Boundary) -> Boundary:
 
 
 def residual_complementarity(surface: ValueSurface):
-    """A posteriori check that the surface satisfies its own discrete system.
+    """A posteriori check that the surface solves its own discrete problem.
 
-    Re-assembles the backward steps, RESIDUAL_BLOCK at a time, and measures,
-    on interior nodes, the linear-system residual on continuation nodes, the
-    contact gap on stopping nodes, obstacle violations, and wrong-sided
-    stopping nodes.
-    The tolerance scales with (dt + dx^2), dt the largest step, times the
-    magnitude of the discrete generator terms.
+    Re-assembles the backward steps, RESIDUAL_BLOCK at a time, and measures
+    the natural LCP residual |min(v - g, A v - rhs)| on interior nodes: the
+    quantity each policy-iteration solve ends on.  It covers obstacle
+    violations (v < g), unsolved continuation rows and wrong-sided stop rows
+    alike.  The tolerance is the round-off level of the largest right-hand
+    side over all steps.
     """
     from .reports import CheckReport, FAIL, PASS
 
     grid = surface.grid
     xi = grid.x_nodes[1:-1]
-    nt, dt, dx, steps = grid.nt, grid.dt, grid.dx, grid.steps
-    psi = surface.obstacle
-    v = surface.v
+    nt, steps = grid.nt, grid.steps
+    psi, v = surface.obstacle, surface.v
     disc = surface.problem.samples_on(grid)
     theta, rannacher = surface.meta.theta, surface.meta.rannacher
     sig2_i = (disc.sigma * disc.sigma)[1:-1]
     f = disc.f
 
-    worst = 0.0
-    witness = None
-    coef_scale = 1.0
+    worst, witness, rhs_scale = 0.0, None, 0.0
     for hi in range(nt, 0, -RESIDUAL_BLOCK):   # steps lo .. hi - 1, all at once
         lo = max(hi - RESIDUAL_BLOCK, 0)
-        co = _operator_coefficients(disc.mu[lo:hi + 1, 1:-1], sig2_i, dx)
+        co = _operator_coefficients(disc.mu[lo:hi + 1, 1:-1], sig2_i, grid.dx)
         th = np.array([_step_theta(theta, rannacher, k, nt) for k in range(lo, hi)])[:, None]
         f_now, f_next = (None, None) if f is None else (f[lo:hi], f[lo + 1:hi + 1])
         lower, diag, upper, rhs = _step_system(
             th, steps[lo:hi, None], [c[:-1] for c in co], [c[1:] for c in co],
             v[lo:hi], v[lo + 1:hi + 1], f_now, f_next)
         vk = v[lo:hi, 1:-1]
-        av = _tridiag_apply(lower, diag, upper, vk)
-        gap = vk - psi[lo:hi, 1:-1]
-        stopping = surface.exercise_mask[lo:hi, 1:-1]
-        res = np.where(stopping, np.abs(gap), np.abs(av - rhs))
-        res = np.maximum(res, np.maximum(0.0, -gap))          # obstacle violation
-        res = np.maximum(res, np.where(stopping, np.maximum(0.0, rhs - av), 0.0))
+        slack = _tridiag_apply(lower, diag, upper, vk) - rhs
+        res = np.abs(np.minimum(vk - psi[lo:hi, 1:-1], slack))
+        rhs_scale = max(rhs_scale, float(np.max(np.abs(rhs))))
         j = res.argmax(axis=1)
         top = res[np.arange(hi - lo), j]
-        gen_scale = np.max(np.abs(av - vk), axis=1) / np.maximum(steps[lo:hi], 1e-300)
         for r in range(hi - lo - 1, -1, -1):   # k = hi - 1 down to lo: ties go to the later step
             if top[r] > worst:
                 worst = float(top[r])
                 witness = (float(grid.t_nodes[lo + r]), float(xi[j[r]]))
-            coef_scale = max(coef_scale, float(gen_scale[r]))
 
-    tol = 10.0 * (dt + dx * dx) * coef_scale
-    return CheckReport(
-        check_name="residual_complementarity",
-        verdict=PASS if worst <= tol else FAIL,
-        worst_violation=worst,
-        witness=witness,
-        tolerance=tol,
-        notes=f"max discrete complementarity residual over {grid.nt} backward steps",
-    )
+    tol = round_off(rhs_scale)
+    return CheckReport("residual_complementarity", PASS if worst <= tol else FAIL, worst, witness,
+                       tol, f"max |min(v - g, A v - rhs)| over {nt} backward steps")
 
 
 def value_at(surface: ValueSurface, t: float, x: float) -> float:

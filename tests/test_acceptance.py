@@ -26,6 +26,7 @@ from stoplab.pipeline import run_problem
 from stoplab.problems import Orientation, StateSpace
 from stoplab.reports import FAIL, PASS
 from stoplab.simulate import coupling_statistic, negative_drift_region
+from stoplab.solver import round_off
 from conftest import random_expr
 
 
@@ -344,7 +345,7 @@ def test_criterion_8_reduction_coherence():
     sd = sl.solve_backward(sl.validate_problem(direct, grid), grid)
     sr = sl.solve_backward(sl.validate_problem(reduced, grid), grid)
     gap = float(np.max(np.abs(sd.v - (sd.obstacle + sr.v))))
-    assert gap <= 10.0 * sd.tol_contact
+    assert gap <= round_off(sd.v)
     _ok("criterion 8 reduction coherence", f"max|v - (g + w)| = {gap:.2e}")
 
 

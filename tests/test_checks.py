@@ -1,5 +1,7 @@
 """Hypothesis and conclusion checkers on fields, surfaces and boundaries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,10 +28,8 @@ def _surface_from_matrix(v, grid, obstacle=None, drift="1", sigma="1"):
     prob = sl.validate_problem(spec, grid)
     if obstacle is None:
         obstacle = v - 1.0  # strictly below: everything is continuation
-    tol = 1e-7 * (1 + np.max(np.abs(obstacle)))
     return ValueSurface(
-        grid=grid, v=v, obstacle=obstacle, exercise_mask=(v - obstacle) <= tol,
-        tol_contact=tol, problem=prob,
+        grid=grid, v=v, obstacle=obstacle, exercise_mask=v <= obstacle, problem=prob,
         meta=SchemeMeta(theta=0.5, rannacher=True, psor_sweeps=np.zeros(grid.nt, int),
                         psor_worst_residual=0.0),
     )
@@ -151,6 +151,14 @@ class TestValueTimeMonotone:
         surf = _surface_from_matrix(v, grid, drift="0")
         assert ck.check_value_time_monotone(surf).verdict == FAIL
 
+        # a surface constant in t passes with worst 0; a rise of 1e-9 at one node fails there
+        v = np.tile(grid.x_nodes, (grid.nt + 1, 1))
+        assert ck.check_value_time_monotone(_surface_from_matrix(v, grid)).worst_violation == 0.0
+        v[20, 25] += 1e-9
+        r = ck.check_value_time_monotone(_surface_from_matrix(v, grid))
+        assert r.verdict == FAIL
+        assert r.witness == (grid.t_nodes[20], grid.x_nodes[25])
+
 
 class TestBoundaryMonotone:
     def _boundary(self, values, orientation=Orientation.LOWER, dx=0.01):
@@ -175,6 +183,16 @@ class TestBoundaryMonotone:
         assert ck.check_boundary_monotone(self._boundary(good)).verdict == PASS
         bad = [0.0, NEG_INF, 0.5]
         assert ck.check_boundary_monotone(self._boundary(bad)).verdict == FAIL
+
+    def test_non_separated_slice_inconclusive(self):
+        b = Boundary(t_nodes=np.linspace(0, 1, 6), values=np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
+                     orientation=Orientation.LOWER, cell_size=0.01, non_separated=(3,))
+        r = ck.check_boundary_monotone(b)
+        assert r.verdict == INCONCLUSIVE
+        assert r.witness == (b.t_nodes[3], 0.3)
+        assert "t=0.6" in r.notes
+        # the same values, all separated, pass
+        assert ck.check_boundary_monotone(dataclasses.replace(b, non_separated=())).verdict == PASS
 
     def test_upper_orientation_mirrors(self):
         decreasing = [2.0, 1.5, 1.0, POS_INF]
@@ -243,7 +261,9 @@ class TestValueContinuity:
         xs = grid.x_nodes
         v = np.tile(np.where(xs > 0, 5.0, 0.0), (grid.nt + 1, 1))
         surf = _surface_from_matrix(v, grid, drift="0")
-        assert ck.check_value_continuity(surf).verdict == FAIL
+        r = ck.check_value_continuity(surf)
+        assert r.verdict == FAIL
+        assert r.witness == (grid.t_nodes[0], xs[xs > 0][0])  # the node the jump lands on
 
 
 class TestTheoremPipelines:

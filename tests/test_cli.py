@@ -498,7 +498,7 @@ def test_export_bytes_equal_per_cell_rendering(tmp_path):
     grid = Grid(t_nodes=np.array([0.0, 0.1, third, 2 * third]),
                 x_nodes=np.array([-third, 5e-324, 0.1, 1e300]))
     surface = sl.ValueSurface(grid=grid, v=v, obstacle=obstacle, exercise_mask=v == obstacle,
-                              tol_contact=0.0, problem=None, meta=None)
+                              problem=None, meta=None)
     boundary = sl.Boundary(t_nodes=grid.t_nodes.copy(), values=np.array([-np.inf, *full[1:3], np.inf]),
                            orientation=sl.Orientation.LOWER, cell_size=0.1)
     assert surface.exercise_mask.any() and not surface.exercise_mask.all()
