@@ -249,17 +249,14 @@ def check_boundary_monotone(boundary: Boundary) -> CheckReport:
     Lower boundaries must be nondecreasing, upper boundaries nonincreasing,
     both with one-cell slack on finite pairs.  Sentinel transitions must
     respect the same order (e.g. all-continuation before finite before
-    all-stopping for the lower case).  A boundary with a non-separated slice
-    is not a function of t there, so the check is INCONCLUSIVE and names the
-    first such slice.
+    all-stopping for the lower case).  A violation FAILs wherever it is.  A
+    boundary with a non-separated slice is not a function of t there, so
+    where the scan finds no violation the check is INCONCLUSIVE and names
+    the first such slice.
     """
     b = boundary.values
     ts = boundary.t_nodes
     dx = boundary.cell_size
-    if boundary.non_separated:
-        k = boundary.non_separated[0]
-        return CheckReport("boundary_monotone", INCONCLUSIVE, 0.0, (float(ts[k]), float(b[k])), dx,
-                           f"non-separated slices, the first at t={ts[k]:.6g}")
     lower = boundary.orientation is Orientation.LOWER
     sign = 1.0 if lower else -1.0
     worst = -np.inf
@@ -280,14 +277,20 @@ def check_boundary_monotone(boundary: Boundary) -> CheckReport:
                 (float(ts[k + 1]), float(b[k + 1])), dx,
                 f"sentinel order violated between steps {k} and {k + 1}",
             )
-    if worst == -np.inf:
+    if worst > dx:
+        return CheckReport("boundary_monotone", FAIL, float(worst), witness, dx,
+                           f"boundary violates {notes} beyond one cell")
+    finite_pairs = worst != -np.inf
+    worst = float(worst) if finite_pairs else 0.0
+    if boundary.non_separated:
+        k = boundary.non_separated[0]
+        return CheckReport("boundary_monotone", INCONCLUSIVE, worst, (float(ts[k]), float(b[k])), dx,
+                           f"non-separated slices, the first at t={ts[k]:.6g}")
+    if not finite_pairs:
         return CheckReport("boundary_monotone", PASS, 0.0, None, dx,
                            f"no finite pairs; sentinel order consistent ({notes})")
-    if worst <= dx:
-        return CheckReport("boundary_monotone", PASS, float(worst), None, dx,
-                           f"boundary {notes} within one cell")
-    return CheckReport("boundary_monotone", FAIL, float(worst), witness, dx,
-                       f"boundary violates {notes} beyond one cell")
+    return CheckReport("boundary_monotone", PASS, worst, None, dx,
+                       f"boundary {notes} within one cell")
 
 
 def check_value_continuity(surface: ValueSurface) -> CheckReport:

@@ -61,7 +61,7 @@ class ValueSurface:
     grid: Grid
     v: np.ndarray          # (nt+1, nx+1)
     obstacle: np.ndarray   # same shape
-    exercise_mask: np.ndarray  # v <= obstacle: the solver's stop set, v == obstacle bit for bit
+    exercise_mask: np.ndarray  # v <= obstacle: the solver's stop set, read with no tolerance
     problem: ValidatedProblem
     meta: SchemeMeta
 
@@ -379,8 +379,10 @@ def residual_complementarity(surface: ValueSurface):
     the natural LCP residual |min(v - g, A v - rhs)| on interior nodes: the
     quantity each policy-iteration solve ends on.  It covers obstacle
     violations (v < g), unsolved continuation rows and wrong-sided stop rows
-    alike.  The tolerance is the round-off level of the largest right-hand
-    side over all steps.
+    alike.  The tolerance is the round-off level of the residual's own
+    scale, |lower||v_{i-1}| + |diag||v_i| + |upper||v_{i+1}| + |rhs|, at
+    its largest over all nodes and steps: it grows with the operator's
+    stiffness as the rounding of A v does.
     """
     from .reports import CheckReport, FAIL, PASS
 
@@ -393,7 +395,7 @@ def residual_complementarity(surface: ValueSurface):
     sig2_i = (disc.sigma * disc.sigma)[1:-1]
     f = disc.f
 
-    worst, witness, rhs_scale = 0.0, None, 0.0
+    worst, witness, scale = 0.0, None, 0.0
     for hi in range(nt, 0, -RESIDUAL_BLOCK):   # steps lo .. hi - 1, all at once
         lo = max(hi - RESIDUAL_BLOCK, 0)
         co = _operator_coefficients(disc.mu[lo:hi + 1, 1:-1], sig2_i, grid.dx)
@@ -405,7 +407,8 @@ def residual_complementarity(surface: ValueSurface):
         vk = v[lo:hi, 1:-1]
         slack = _tridiag_apply(lower, diag, upper, vk) - rhs
         res = np.abs(np.minimum(vk - psi[lo:hi, 1:-1], slack))
-        rhs_scale = max(rhs_scale, float(np.max(np.abs(rhs))))
+        size = _tridiag_apply(np.abs(lower), np.abs(diag), np.abs(upper), np.abs(vk)) + np.abs(rhs)
+        scale = max(scale, float(np.max(size)))
         j = res.argmax(axis=1)
         top = res[np.arange(hi - lo), j]
         for r in range(hi - lo - 1, -1, -1):   # k = hi - 1 down to lo: ties go to the later step
@@ -413,7 +416,7 @@ def residual_complementarity(surface: ValueSurface):
                 worst = float(top[r])
                 witness = (float(grid.t_nodes[lo + r]), float(xi[j[r]]))
 
-    tol = round_off(rhs_scale)
+    tol = round_off(scale)
     return CheckReport("residual_complementarity", PASS if worst <= tol else FAIL, worst, witness,
                        tol, f"max |min(v - g, A v - rhs)| over {nt} backward steps")
 

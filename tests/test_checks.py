@@ -193,6 +193,13 @@ class TestBoundaryMonotone:
         assert "t=0.6" in r.notes
         # the same values, all separated, pass
         assert ck.check_boundary_monotone(dataclasses.replace(b, non_separated=())).verdict == PASS
+        # a violation still fails: a drop of more than one cell, and a sentinel out of order
+        drop = dataclasses.replace(b, values=np.array([0.0, 0.1, 0.2, 0.3, 0.25, 0.5]))
+        r = ck.check_boundary_monotone(drop)
+        assert r.verdict == FAIL
+        assert r.witness == (b.t_nodes[4], 0.25)
+        sentinel = dataclasses.replace(b, values=np.array([0.0, 0.1, 0.2, 0.3, NEG_INF, 0.5]))
+        assert ck.check_boundary_monotone(sentinel).verdict == FAIL
 
     def test_upper_orientation_mirrors(self):
         decreasing = [2.0, 1.5, 1.0, POS_INF]

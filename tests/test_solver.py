@@ -221,16 +221,21 @@ def _residual_per_step(surface):
     a strictly larger residual replacing the witness."""
     grid, v, psi = surface.grid, surface.v, surface.obstacle
     xi = grid.x_nodes[1:-1]
-    worst, witness, rhs_scale = 0.0, None, 0.0
+    worst, witness, scale = 0.0, None, 0.0
     for k, lower, diag, upper, rhs in _backward_steps(surface.problem.disc, surface.meta.theta,
                                                       surface.meta.rannacher, v):
-        slack = _tridiag_apply(lower, diag, upper, v[k, 1:-1]) - rhs
-        res = np.abs(np.minimum(v[k, 1:-1] - psi[k, 1:-1], slack))
+        vk = v[k, 1:-1]
+        slack = _tridiag_apply(lower, diag, upper, vk) - rhs
+        res = np.abs(np.minimum(vk - psi[k, 1:-1], slack))
         j = int(np.argmax(res))
         if res[j] > worst:
             worst, witness = float(res[j]), (float(grid.t_nodes[k]), float(xi[j]))
-        rhs_scale = max(rhs_scale, float(np.max(np.abs(rhs))))
-    return worst, witness, 1e-12 * (1.0 + rhs_scale)
+        size = np.abs(diag * vk)
+        size[1:] += np.abs(lower[1:] * vk[:-1])
+        size[:-1] += np.abs(upper[:-1] * vk[1:])
+        size += np.abs(rhs)
+        scale = max(scale, float(np.max(size)))
+    return worst, witness, 1e-12 * (1.0 + scale)
 
 
 class TestResidualAndConvergence:
@@ -261,6 +266,16 @@ class TestResidualAndConvergence:
         assert expect[0] == v[k_late, j] - surf.obstacle[k_late, j]
         assert expect[1] == (grid.t_nodes[k_late], grid.x_nodes[j])
         assert report.verdict == "FAIL"
+
+    def test_stiff_operator_residual_passes(self):
+        # dt / dx^2 = 4e4: A v rounds at ~1e-11 while v and rhs stay <= 1, so a
+        # tolerance on the size of rhs alone would fail this correct solve
+        spec = _spec(terminal="exp(-x*x)")
+        grid = sl.build_grid(spec, 5.0, 4, 4000, x_ref=0.0)
+        surf = sl.solve_backward(sl.validate_problem(spec, grid), grid)
+        report = sl.residual_complementarity(surf)
+        assert report.verdict == "PASS"
+        assert report.worst_violation > round_off(surf.v)
 
     def test_martingale_residual_zero(self):
         surf = _solve(_spec(drift="0"), n=60)
