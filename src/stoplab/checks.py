@@ -192,47 +192,19 @@ def check_drift_curvature_balance(surface: ValueSurface) -> CheckReport:
                        f"curvature-drift balance negative at {int((deficit > tol).sum())} nodes")
 
 
-EDGE_BAND_SCALES = 1.0   # excluded band width next to each edge, in sigma*sqrt(T)
-
-
-def _edge_band_columns(surface: ValueSurface) -> int:
-    """Columns per side dominated by Dirichlet edge-clamp error.
-
-    Where the true solution continues past a clamped edge, the clamp error
-    diffuses inward over one diffusion scale; observed violation depths on
-    bridge-type problems stay within ~0.6 scales of the edge.
-    """
-    grid = surface.grid
-    xs = grid.x_nodes
-    sig = surface.problem.samples_on(grid).sigma[len(xs) // 4: 3 * len(xs) // 4]
-    scale = float(np.max(np.abs(sig))) * np.sqrt(max(grid.horizon_end, grid.dt))
-    cols = int(np.ceil(EDGE_BAND_SCALES * scale / grid.dx))
-    return min(max(cols, 1), max(1, grid.nx // 5))
-
-
 def check_value_time_monotone(surface: ValueSurface) -> CheckReport:
-    """Is the solved value nonincreasing in time at every probed node?
-
-    A band of columns next to each spatial edge (one diffusion scale per
-    side, capped at 20% of the columns) is excluded: the Dirichlet edge pins
-    the value to the obstacle there, and where the true solution continues
-    past the edge that clamp error grows with time-to-go, faking a rise in t
-    that says nothing about the problem being checked.  The tolerance is v's round-off.
-    """
+    """Is the solved value nonincreasing in time at every node?  The tolerance is v's round-off."""
     v = surface.v
     tol = round_off(v)
-    skip = _edge_band_columns(surface)
-    band = slice(skip, v.shape[1] - skip)
-    rises = v[1:, band] - v[:-1, band]
+    rises = v[1:] - v[:-1]
     worst = float(np.max(rises))
-    notes_suffix = f" ({skip} edge columns excluded per side)"
     if worst <= tol:
         return CheckReport("value_time_monotone", PASS, worst, None, tol,
-                           "value nonincreasing in t at every probed node" + notes_suffix)
+                           "value nonincreasing in t at every node")
     k, j = np.argwhere(rises > tol)[0]
-    witness = (float(surface.grid.t_nodes[k + 1]), float(surface.grid.x_nodes[j + skip]))
+    witness = (float(surface.grid.t_nodes[k + 1]), float(surface.grid.x_nodes[j]))
     return CheckReport("value_time_monotone", FAIL, worst, witness, tol,
-                       f"value increases in t at {int((rises > tol).sum())} nodes" + notes_suffix)
+                       f"value increases in t at {int((rises > tol).sum())} nodes")
 
 
 def _sentinel_rank(b: float) -> int:
@@ -298,17 +270,13 @@ def check_value_continuity(surface: ValueSurface) -> CheckReport:
 
     Flags isolated jumps between neighbours that are out of scale with the
     surface's total variation; a smooth surface has max jump comparable to
-    range * cell / extent.  The Dirichlet edge bands are excluded like in
-    the time-monotonicity check: the clamp manufactures a jump wherever the
-    true solution continues past the edge.
+    range * cell / extent.
     """
     grid = surface.grid
-    skip = _edge_band_columns(surface)
-    cols = slice(skip, surface.v.shape[1] - skip)
-    v = surface.v[:, cols]
+    v = surface.v
     # a node holds the largest jump landing on it from the left or from the step before;
     # a time jump counts beyond one step of transport (near a pole that spans many cells)
-    courant = np.abs(surface.problem.samples_on(grid).mu[:-1, cols]) * grid.steps[:, None] / grid.dx
+    courant = np.abs(surface.problem.samples_on(grid).mu[:-1]) * grid.steps[:, None] / grid.dx
     jumps = np.zeros_like(v)
     jumps[:, 1:] = np.abs(np.diff(v, axis=1))
     jumps[1:] = np.maximum(jumps[1:], np.abs(np.diff(v, axis=0)) / (1.0 + courant))
@@ -321,7 +289,7 @@ def check_value_continuity(surface: ValueSurface) -> CheckReport:
     t_extent = max(float(grid.t_nodes[-1] - grid.t_nodes[0]), grid.dt)
     tol = 50.0 * vrange * max(grid.dx / x_extent, grid.dt / t_extent)
     verdict = PASS if worst <= tol else FAIL
-    witness = (float(grid.t_nodes[k]), float(grid.x_nodes[skip + j])) if verdict == FAIL else None
+    witness = (float(grid.t_nodes[k]), float(grid.x_nodes[j])) if verdict == FAIL else None
     return CheckReport("value_continuity", verdict, worst, witness, tol,
                        f"max neighbour jump vs 50x the smooth-surface scale {tol:.3g}")
 

@@ -69,10 +69,6 @@ class Grid:
     def dx(self) -> float:
         return float(self.x_nodes[1] - self.x_nodes[0])
 
-    @property
-    def horizon_end(self) -> float:
-        return float(self.t_nodes[-1])
-
 
 def make_grid(t_end: float, x_min: float, x_max: float, nt: int, nx: int) -> Grid:
     if nt < 2 or nx < 2:

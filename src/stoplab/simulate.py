@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -162,6 +162,11 @@ def _window(spec, t: float, n_steps: int) -> np.ndarray:
     return time_nodes(t, spec.horizon, n_steps, spec.pole_at_horizon)
 
 
+def _scheme(spec) -> str:
+    """Log-Euler on the positive half-line, which keeps paths positive; Euler elsewhere."""
+    return LOG_EULER if spec.state_space is StateSpace.POSITIVE_HALF_LINE else EULER
+
+
 def _run_euler(spec, times: np.ndarray, steps: np.ndarray, x: float, z: np.ndarray,
                scheme: str, states: np.ndarray) -> np.ndarray:
     """Fill step-major ``states`` (n_steps + 1, n_paths) from the increments z
@@ -200,13 +205,12 @@ def _run_euler(spec, times: np.ndarray, steps: np.ndarray, x: float, z: np.ndarr
 
 
 def simulate_paths(problem: ValidatedProblem, t: float, x: float, n_paths: int,
-                   n_steps: int, seed: int, scheme: Optional[str] = None) -> PathBundle:
+                   n_steps: int, seed: int) -> PathBundle:
     """Simulate n_paths Euler paths of the problem's state process from (t, x)."""
     spec = problem.spec
     if n_steps < 1:
         raise SimulationError(f"need n_steps >= 1, got {n_steps}")
-    if scheme is None:
-        scheme = LOG_EULER if spec.state_space is StateSpace.POSITIVE_HALF_LINE else EULER
+    scheme = _scheme(spec)
     times = _window(spec, t, n_steps)
     steps = time_steps(times, spec.pole_at_horizon)
     rows = np.empty((n_steps + 1, n_paths))
@@ -242,7 +246,7 @@ def simulate_coupled(problem: ValidatedProblem, t: float, u: float, x: float,
         raise SimulationError(f"need 0 <= u <= t, got u={u}, t={t}")
     dt = (_window(spec, t, n_steps)[-1] - t) / n_steps
     steps = np.full(n_steps, dt)
-    scheme = LOG_EULER if spec.state_space is StateSpace.POSITIVE_HALF_LINE else EULER
+    scheme = _scheme(spec)
     late_t, early_t = (start + dt * np.arange(n_steps + 1) for start in (t, u))
     late, early = (np.empty((n_steps + 1, n_paths)) for _ in range(2))
     late_bad, early_bad = (np.empty(n_paths, dtype=bool) for _ in range(2))

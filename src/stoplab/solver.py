@@ -7,12 +7,14 @@ Each backward step discretizes
 with a theta-scheme in time (theta = 1/2 plus two fully implicit startup
 steps to damp obstacle-kink oscillations) and Peclet-switched differencing in
 space: central where |mu| dx / sigma^2 <= 2, first-order upwind otherwise,
-which keeps the system an M-matrix where advection dominates (bridge-type
-drifts near the horizon).  The per-step linear complementarity problem is
+which keeps the interior rows an M-matrix where advection dominates
+(bridge-type drifts near the horizon).  Every node is an unknown.  The two
+edge nodes carry the linear far-field row (Windcliff, Forsyth & Vetzal, J.
+Comput. Finance 2004): the drift term differenced one-sided toward the
+interior, and the diffusion term taken from the obstacle, so that v - g has
+no curvature at the edge.  The per-step linear complementarity problem is
 solved exactly by policy iteration, each iteration one tridiagonal solve by
-cyclic reduction; spatial edges carry Dirichlet values equal to the obstacle,
-which is exact when the stopping region reaches the edge and otherwise relies
-on the grid pad to keep edge effects away from the region of interest.
+cyclic reduction.
 
 The time mesh is uniform, or graded toward a drift pole at the horizon
 (``grids.time_nodes``); each step reads its own size.  The coefficients are
@@ -39,7 +41,7 @@ from .problems import (
 )
 
 PECLET_SWITCH = 2.0
-RESIDUAL_BLOCK = 16   # backward steps per residual check block; its (16, nx - 1) arrays stay in cache
+RESIDUAL_BLOCK = 16   # backward steps per residual check block; its (16, nx + 1) arrays stay in cache
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
@@ -51,7 +53,6 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SchemeMeta:
     theta: float
-    rannacher: bool
     psor_sweeps: np.ndarray  # policy iterations per backward step, 0 when the warm start solves it
     psor_worst_residual: float
 
@@ -127,14 +128,20 @@ def round_off(a) -> float:
 
 
 def _operator_coefficients(mu: np.ndarray, sig2: np.ndarray, dx: float):
-    """Tridiagonal coefficients of the spatial generator on interior nodes.
+    """Tridiagonal coefficients of the spatial generator on all nx + 1 nodes.
 
-    Returns (lower, diag, upper) with rows summing to zero.  The cell Peclet
-    number is |mu| dx / (sigma^2 / 2); switching to upwind beyond 2 keeps all
-    off-diagonal entries nonnegative, so each step matrix I - theta dt L is a
-    strictly diagonally dominant M-matrix.  That preserves monotonicity where
-    advection dominates, makes policy iteration settle finitely on the exact
-    discrete solution, and keeps cyclic reduction stable without pivoting.
+    Returns (lower, diag, upper) with rows summing to zero; lower[0] and
+    upper[-1] are unused.  Interior rows switch from central to upwind
+    differencing where the cell Peclet number |mu| dx / (sigma^2 / 2)
+    exceeds 2, which keeps their off-diagonals nonnegative: in each step
+    matrix I - theta dt L they are strictly dominant M-matrix rows.  The edge
+    rows hold the far-field drift term, differenced toward the interior:
+    mu_0 (v_1 - v_0)/dx on the left, mu_N (v_N - v_{N-1})/dx on the right
+    (their diffusion term is ``_edge_source``).  An inflow edge row is an
+    M-matrix row too.  An outflow edge row reads (1 - c) v_edge + c v_next,
+    c = theta dt |mu|/dx, dominant only up to c = 1/2; for c < 1,
+    eliminating it adds c/(1 - c) |lower| to its neighbour's diagonal, so
+    the rest stays an M-matrix and cyclic reduction needs no pivoting.
     """
     dif = sig2 / (2.0 * dx * dx)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -147,7 +154,44 @@ def _operator_coefficients(mu: np.ndarray, sig2: np.ndarray, dx: float):
     lower = np.where(central, dif - mu / (2.0 * dx), dif + adv_m)
     upper = np.where(central, dif + mu / (2.0 * dx), dif + adv_p)
     diag = np.where(central, -2.0 * dif, -(2.0 * dif + adv_p + adv_m))
+    upper[..., 0] = mu[..., 0] / dx
+    diag[..., 0] = -upper[..., 0]
+    lower[..., -1] = -mu[..., -1] / dx
+    diag[..., -1] = -lower[..., -1]
     return lower, diag, upper
+
+
+def _step_thetas(theta: float, nt: int) -> np.ndarray:
+    """Each backward step's theta: the last two steps before T are fully implicit."""
+    th = np.full(nt, theta)
+    th[nt - 2:] = 1.0
+    return th
+
+
+def _edge_source(disc: Discretization, th: np.ndarray) -> np.ndarray:
+    """The far-field rows' diffusion term, per backward step and edge: (nt, 2).
+
+    On an edge the diffusion term is the obstacle's one-sided second
+    difference, sigma^2/2 (g_0 - 2 g_1 + g_2)/dx^2 on the left and its mirror
+    on the right, so v - g has no curvature there; each step weighs it by
+    theta like the running reward.  Raises SolverError where an edge row's
+    diagonal 1 - theta dt |mu|/dx is not positive: the process leaves the
+    grid within one step and the row no longer determines the edge value.
+    """
+    grid = disc.grid
+    dx, steps = grid.dx, grid.steps
+    edge_mu = disc.mu[:-1, [0, -1]] / dx
+    diag = 1.0 - th[:, None] * steps[:, None] * (edge_mu * [-1.0, 1.0])
+    bad = np.argwhere(~(diag > 0))
+    if bad.size:
+        k, e = bad[0]
+        raise SolverError(f"far-field row on the {('left', 'right')[e]} edge "
+                          f"x={grid.x_nodes[-e]:.6g} at t={grid.t_nodes[k]:.6g} has diagonal "
+                          f"{diag[k, e]:.3g} <= 0: theta dt |mu|/dx must stay below 1")
+    g = disc.g
+    gxx = (g[:, [0, -1]] - 2.0 * g[:, [1, -2]] + g[:, [2, -3]]) / (dx * dx)
+    s = 0.5 * (disc.sigma * disc.sigma)[[0, -1]] * gxx
+    return steps[:, None] * (th[:, None] * s[:-1] + (1.0 - th[:, None]) * s[1:])
 
 
 def _tridiag_apply(lower, diag, upper, v):
@@ -200,7 +244,9 @@ def _howard(lower, diag, upper, rhs, psi, v0, where):
     the other choice wins by more than the round-off level ``tie``, so ties
     cannot make the policy cycle.  On an M-matrix the iteration settles in at
     most n steps on the exact discrete solution (Bokanowski, Maroso & Zidani
-    2009).  Returns (v, iterations, residual).
+    2009).  An outflow edge row (``_operator_coefficients``) is outside that
+    proof, but the loop ends only on a solution of the LCP, and raises
+    otherwise.  Returns (v, iterations, residual).
     """
     tie = round_off(rhs)
     v = np.maximum(v0, psi)
@@ -220,65 +266,54 @@ def _howard(lower, diag, upper, rhs, psi, v0, where):
     raise SolverError(f"policy iteration did not settle in {rhs.size + 1} iterations ({where})")
 
 
-def _step_theta(theta: float, rannacher: bool, k: int, nt: int) -> float:
-    if rannacher and theta != 1.0 and k >= nt - 2:
-        return 1.0
-    return theta
-
-
-def _step_system(th, dt, co_now, co_next, v_now, v_next, f_now, f_next):
-    """The theta-step's tridiagonal system (lower, diag, upper, rhs) on interior nodes.
+def _step_system(th, dt, co_now, co_next, v_next, f_now, f_next, src):
+    """The theta-step's tridiagonal system (lower, diag, upper, rhs) on all nodes.
 
     co_now and co_next are the operator coefficients at the step's two
-    nodes, v_next the later slice, v_now the step's own slice (only its
-    Dirichlet edges are read, and folded into rhs), f_now and f_next the
-    running reward (None without one).  Every operation is elementwise, so
-    one step (scalar th and dt, 1-D rows) and a block of steps ((B, 1) th
-    and dt, (B, n) rows) give the same bits, row by row.
+    nodes, v_next the later slice, f_now and f_next the running reward (None
+    without one) and src the step's two edge sources (``_edge_source``).
+    Every operation is elementwise, so one step (scalar th and dt, 1-D rows)
+    and a block of steps ((B, 1) th and dt, (B, n) rows) give the same bits,
+    row by row.
     """
     lo_n, di_n, up_n = co_now
-    lo_x, di_x, up_x = co_next
-    vn = v_next
-    rhs = vn[..., 1:-1] + (1.0 - th) * dt * (lo_x * vn[..., :-2] + di_x * vn[..., 1:-1]
-                                             + up_x * vn[..., 2:])
+    rhs = v_next + (1.0 - th) * dt * _tridiag_apply(*co_next, v_next)
     if f_now is not None:
-        rhs = rhs + dt * (th * f_now[..., 1:-1] + (1.0 - th) * f_next[..., 1:-1])
-    rhs[..., :1] += th * dt * lo_n[..., :1] * v_now[..., :1]
-    rhs[..., -1:] += th * dt * up_n[..., -1:] * v_now[..., -1:]
+        rhs = rhs + dt * (th * f_now + (1.0 - th) * f_next)
+    rhs[..., ::rhs.shape[-1] - 1] += src
     return -th * dt * lo_n, 1.0 - th * dt * di_n, -th * dt * up_n, rhs
 
 
-def _backward_steps(disc: Discretization, theta: float, rannacher: bool, v: np.ndarray):
+def _backward_steps(disc: Discretization, theta: float, v: np.ndarray):
     """Assemble each backward step's tridiagonal system, from k = nt-1 down to 0.
 
-    Yields (k, lower, diag, upper, rhs) for the interior unknowns v[k, 1:-1].
-    The right-hand side reads v[k + 1], so the caller fills each slice
-    before the next step is assembled; the Dirichlet edges v[k, 0] and
-    v[k, -1] must be set beforehand and are folded into rhs.
+    Yields (k, lower, diag, upper, rhs) for the unknowns v[k].  The
+    right-hand side reads v[k + 1], so the caller fills each slice before
+    the next step is assembled.
     """
     grid = disc.grid
     nt, steps, dx = grid.nt, grid.steps, grid.dx
-    sig2_i = (disc.sigma * disc.sigma)[1:-1]
+    th = _step_thetas(theta, nt)
+    src = _edge_source(disc, th)
+    sig2 = disc.sigma * disc.sigma
     f = disc.f
-    co_next = _operator_coefficients(disc.mu[nt, 1:-1], sig2_i, dx)
+    co_next = _operator_coefficients(disc.mu[nt], sig2, dx)
     for k in range(nt - 1, -1, -1):
-        co_now = _operator_coefficients(disc.mu[k, 1:-1], sig2_i, dx)
+        co_now = _operator_coefficients(disc.mu[k], sig2, dx)
         f_now, f_next = (None, None) if f is None else (f[k], f[k + 1])
-        yield (k, *_step_system(_step_theta(theta, rannacher, k, nt), steps[k], co_now,
-                                co_next, v[k], v[k + 1], f_now, f_next))
+        yield k, *_step_system(th[k], steps[k], co_now, co_next, v[k + 1], f_now, f_next, src[k])
         co_next = co_now
 
 
-def solve_backward(problem: ValidatedProblem, grid: Grid, theta: float = 0.5, *,
-                   rannacher: bool = True) -> ValueSurface:
+def solve_backward(problem: ValidatedProblem, grid: Grid, theta: float = 0.5) -> ValueSurface:
     """Solve the obstacle problem backward from the terminal reward.
 
     The terminal slice equals the obstacle exactly; every earlier slice solves
-    the theta-scheme step's complementarity problem, so v equals the obstacle
-    on stop nodes and is at least the obstacle, to round-off, elsewhere.  The
-    obstacle is the validated sample of the terminal reward; spatial edges
-    carry Dirichlet values equal to it.  The exercise mask is the stop set
-    v <= obstacle, read off v with no tolerance.
+    the theta-scheme step's complementarity problem on all nodes, edges
+    included, so v equals the obstacle on stop nodes and is at least the
+    obstacle, to round-off, elsewhere.  The obstacle is the validated sample
+    of the terminal reward.  The exercise mask is the stop set v <= obstacle,
+    read off v with no tolerance.
     """
     disc = problem.samples_on(grid)
     ts = grid.t_nodes
@@ -286,17 +321,14 @@ def solve_backward(problem: ValidatedProblem, grid: Grid, theta: float = 0.5, *,
 
     v = np.empty((grid.nt + 1, grid.nx + 1))
     v[-1] = psi[-1]
-    v[:, 0] = psi[:, 0]
-    v[:, -1] = psi[:, -1]
     iterations = np.zeros(grid.nt, dtype=int)
     worst_res = 0.0
-    for k, lower, diag, upper, rhs in _backward_steps(disc, theta, rannacher, v):
-        v[k, 1:-1], iterations[k], res = _howard(lower, diag, upper, rhs, psi[k][1:-1],
-                                                 v[k + 1, 1:-1], where=f"t={ts[k]:.6g}")
+    for k, lower, diag, upper, rhs in _backward_steps(disc, theta, v):
+        v[k], iterations[k], res = _howard(lower, diag, upper, rhs, psi[k], v[k + 1],
+                                           where=f"t={ts[k]:.6g}")
         worst_res = max(worst_res, res)
 
-    meta = SchemeMeta(theta=theta, rannacher=rannacher, psor_sweeps=iterations,
-                      psor_worst_residual=worst_res)
+    meta = SchemeMeta(theta=theta, psor_sweeps=iterations, psor_worst_residual=worst_res)
     return ValueSurface(grid=grid, v=v, obstacle=psi, exercise_mask=v <= psi,
                         problem=problem, meta=meta)
 
@@ -304,16 +336,14 @@ def solve_backward(problem: ValidatedProblem, grid: Grid, theta: float = 0.5, *,
 def extract_boundary(surface: ValueSurface) -> Boundary:
     """Read the stopping boundary off the exercise mask, one value per time node.
 
-    Per time slice the boundary is the last interior node marked stopped,
-    reading from the stopping side: the largest for a lower boundary, the
-    smallest for an upper one.  All-continuation and all-stopping slices get
-    the sentinels of ``Boundary``.  Edge columns are excluded: the Dirichlet
-    condition pins v = obstacle there regardless of the true region.  Slices
-    not of the form "stopping side, then continuation" are collected as
-    non-separated warnings rather than forced.
+    Per time slice the boundary is the last node marked stopped, reading
+    from the stopping side: the largest for a lower boundary, the smallest
+    for an upper one.  All-continuation and all-stopping slices get the
+    sentinels of ``Boundary``.  Slices not of the form "stopping side, then
+    continuation" are collected as non-separated warnings rather than forced.
     """
-    xs = surface.grid.x_nodes[1:-1]
-    mask = surface.exercise_mask[:, 1:-1]
+    xs = surface.grid.x_nodes
+    mask = surface.exercise_mask
     lower = surface.orientation is Orientation.LOWER
     if not lower:  # read from the top, so the stopping side comes first
         xs, mask = xs[::-1], mask[:, ::-1]
@@ -376,7 +406,7 @@ def residual_complementarity(surface: ValueSurface):
     """A posteriori check that the surface solves its own discrete problem.
 
     Re-assembles the backward steps, RESIDUAL_BLOCK at a time, and measures
-    the natural LCP residual |min(v - g, A v - rhs)| on interior nodes: the
+    the natural LCP residual |min(v - g, A v - rhs)| on every node: the
     quantity each policy-iteration solve ends on.  It covers obstacle
     violations (v < g), unsolved continuation rows and wrong-sided stop rows
     alike.  The tolerance is the round-off level of the residual's own
@@ -387,26 +417,25 @@ def residual_complementarity(surface: ValueSurface):
     from .reports import CheckReport, FAIL, PASS
 
     grid = surface.grid
-    xi = grid.x_nodes[1:-1]
     nt, steps = grid.nt, grid.steps
     psi, v = surface.obstacle, surface.v
     disc = surface.problem.samples_on(grid)
-    theta, rannacher = surface.meta.theta, surface.meta.rannacher
-    sig2_i = (disc.sigma * disc.sigma)[1:-1]
+    th = _step_thetas(surface.meta.theta, nt)
+    src = _edge_source(disc, th)
+    sig2 = disc.sigma * disc.sigma
     f = disc.f
 
     worst, witness, scale = 0.0, None, 0.0
     for hi in range(nt, 0, -RESIDUAL_BLOCK):   # steps lo .. hi - 1, all at once
         lo = max(hi - RESIDUAL_BLOCK, 0)
-        co = _operator_coefficients(disc.mu[lo:hi + 1, 1:-1], sig2_i, grid.dx)
-        th = np.array([_step_theta(theta, rannacher, k, nt) for k in range(lo, hi)])[:, None]
+        co = _operator_coefficients(disc.mu[lo:hi + 1], sig2, grid.dx)
         f_now, f_next = (None, None) if f is None else (f[lo:hi], f[lo + 1:hi + 1])
         lower, diag, upper, rhs = _step_system(
-            th, steps[lo:hi, None], [c[:-1] for c in co], [c[1:] for c in co],
-            v[lo:hi], v[lo + 1:hi + 1], f_now, f_next)
-        vk = v[lo:hi, 1:-1]
+            th[lo:hi, None], steps[lo:hi, None], [c[:-1] for c in co], [c[1:] for c in co],
+            v[lo + 1:hi + 1], f_now, f_next, src[lo:hi])
+        vk = v[lo:hi]
         slack = _tridiag_apply(lower, diag, upper, vk) - rhs
-        res = np.abs(np.minimum(vk - psi[lo:hi, 1:-1], slack))
+        res = np.abs(np.minimum(vk - psi[lo:hi], slack))
         size = _tridiag_apply(np.abs(lower), np.abs(diag), np.abs(upper), np.abs(vk)) + np.abs(rhs)
         scale = max(scale, float(np.max(size)))
         j = res.argmax(axis=1)
@@ -414,7 +443,7 @@ def residual_complementarity(surface: ValueSurface):
         for r in range(hi - lo - 1, -1, -1):   # k = hi - 1 down to lo: ties go to the later step
             if top[r] > worst:
                 worst = float(top[r])
-                witness = (float(grid.t_nodes[lo + r]), float(xi[j[r]]))
+                witness = (float(grid.t_nodes[lo + r]), float(grid.x_nodes[j[r]]))
 
     tol = round_off(scale)
     return CheckReport("residual_complementarity", PASS if worst <= tol else FAIL, worst, witness,

@@ -30,8 +30,7 @@ def _surface_from_matrix(v, grid, obstacle=None, drift="1", sigma="1"):
         obstacle = v - 1.0  # strictly below: everything is continuation
     return ValueSurface(
         grid=grid, v=v, obstacle=obstacle, exercise_mask=v <= obstacle, problem=prob,
-        meta=SchemeMeta(theta=0.5, rannacher=True, psor_sweeps=np.zeros(grid.nt, int),
-                        psor_worst_residual=0.0),
+        meta=SchemeMeta(theta=0.5, psor_sweeps=np.zeros(grid.nt, int), psor_worst_residual=0.0),
     )
 
 

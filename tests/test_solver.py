@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import stoplab as sl
 from stoplab.grids import GridError, time_nodes
-from stoplab.pipeline import prepare_problem
+from stoplab.pipeline import StageError, prepare_problem, run_problem
 from stoplab.problems import Orientation, StateSpace
 from stoplab.solver import (
     NEG_INF,
@@ -66,7 +66,7 @@ class TestBuildGrid:
         grid = sl.build_grid(spec, 5.0, 100, 100, x_ref=0.0)
         assert grid.graded
         assert np.array_equal(grid.t_nodes, time_nodes(0.0, 1.0, 100, pole=True))
-        assert grid.horizon_end == pytest.approx(1.0 - 1.0 / 101 ** 2, abs=1e-15)
+        assert grid.t_nodes[-1] == pytest.approx(1.0 - 1.0 / 101 ** 2, abs=1e-15)
         assert np.array_equal(grid.steps, np.diff(grid.t_nodes))
 
     def test_uniform_steps_keep_the_exact_scalar_step(self):
@@ -122,9 +122,8 @@ class TestSolveBackward:
         )
         surf = _solve(spec, n=80)
         ts = surf.grid.t_nodes
-        band = np.abs(surf.grid.x_nodes) <= 1.5  # clear of edge-clamp error
         expect = (ts[-1] - ts)[:, None]
-        assert np.max(np.abs(surf.v[:, band] - expect)) <= 1e-3
+        assert np.max(np.abs(surf.v - expect)) <= 1e-3
 
     def test_drift_pole_on_grid_raises(self):
         # pole inside the grid because pole_at_horizon was not declared
@@ -207,29 +206,77 @@ class TestExtractBoundary:
         assert 3 in b.non_separated
 
     def test_gbm_time_drift_stops_only_at_the_horizon(self):
-        # H = x (1 - t) > 0 before T, so the stop set holds no interior node
-        # before T and the 400^2 gallery boundary has no finite node
+        # H = x (1 - t) > 0 before T, so the stop set holds no node before T,
+        # edges included, and the 400^2 gallery boundary has no finite node
         problem = prepare_problem(sl.builtin_examples()["gbm_time_drift"])
         surf = sl.solve_backward(problem, problem.disc.grid)
-        assert not surf.exercise_mask[:-1, 1:-1].any()
+        assert not surf.exercise_mask[:-1].any()
         b = sl.extract_boundary(surf)
         assert not np.isfinite(b.values).any()
+
+
+def _gallery(name, *, gamma_t=None, **grid):
+    """A gallery config with its grid (and, for the gbm model, its drift rate) replaced."""
+    cfg = sl.builtin_examples()[name]
+    if gamma_t is not None:
+        cfg = dataclasses.replace(cfg, problem=dataclasses.replace(cfg.problem, gamma_t=gamma_t))
+    return dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, **grid))
+
+
+def _solve_config(cfg):
+    problem = prepare_problem(cfg)
+    return sl.solve_backward(problem, problem.disc.grid, theta=cfg.grid.theta)
+
+
+class TestFarFieldEdges:
+    # v = E[X_T] on every node, the edges included: these drifts never stop
+    # before T.  The measured error over the 400^2 grid is 1.00, 5.66 and 17.1
+    # dt^2 (it falls 4x per halving of dt and dx); the bound is 1.1x that.
+    @pytest.mark.parametrize("name, gamma_t, exact, measured", [
+        ("bm_time_drift", None, lambda t, x: x + (1 - t) ** 2 / 2, 1.00),
+        ("gbm_time_drift", None, lambda t, x: x * np.exp((1 - t) ** 2 / 2), 5.66),
+        # theta dt |mu|/dx = 0.90 on the outflow edge at t = 0
+        ("gbm_time_drift", "1.8*(1 - t)", lambda t, x: x * np.exp(0.9 * (1 - t) ** 2), 17.1),
+    ])
+    def test_closed_form_over_the_whole_grid(self, name, gamma_t, exact, measured):
+        surf = _solve_config(_gallery(name, gamma_t=gamma_t))
+        grid = surf.grid
+        err = np.max(np.abs(surf.v - exact(grid.t_nodes[:, None], grid.x_nodes[None, :])))
+        assert err <= 1.1 * measured * grid.dt ** 2
+        assert not surf.exercise_mask[:-1].any()
+
+    @pytest.mark.parametrize("name, bound", [("two_point_filtering", 1e-7),
+                                             ("ou_time_mean", 1e-14)])
+    def test_pad_insensitive(self, name, bound):
+        # the same dx on a grid 1.5x as wide: the middle third of the narrow
+        # grid moves by 7.7e-8 and 1.6e-15 (the bounds)
+        narrow = _solve_config(_gallery(name, x_pad=5.0, nx=400))
+        wide = _solve_config(_gallery(name, x_pad=7.5, nx=600))
+        assert np.array_equal(narrow.grid.x_nodes[::100], wide.grid.x_nodes[100:501:100])
+        assert np.max(np.abs(narrow.v - wide.v[:, 100:501])[:, 133:268]) <= bound
+
+    def test_outflow_edge_beyond_one_cell_per_step_raises(self, tmp_path):
+        # theta dt |mu|/dx = 1.25 on the right edge at t = 0
+        cfg = _gallery("gbm_time_drift", gamma_t="2.5*(1 - t)")
+        with pytest.raises(sl.solver.SolverError, match="right edge x=3 at t=0 "):
+            _solve_config(cfg)
+        with pytest.raises(StageError) as err:
+            run_problem(cfg, out_dir=str(tmp_path))
+        assert err.value.stage == "solve"
 
 
 def _residual_per_step(surface):
     """Reference residual check: one backward step at a time, k = nt-1 down to 0,
     a strictly larger residual replacing the witness."""
     grid, v, psi = surface.grid, surface.v, surface.obstacle
-    xi = grid.x_nodes[1:-1]
     worst, witness, scale = 0.0, None, 0.0
-    for k, lower, diag, upper, rhs in _backward_steps(surface.problem.disc, surface.meta.theta,
-                                                      surface.meta.rannacher, v):
-        vk = v[k, 1:-1]
+    for k, lower, diag, upper, rhs in _backward_steps(surface.problem.disc, surface.meta.theta, v):
+        vk = v[k]
         slack = _tridiag_apply(lower, diag, upper, vk) - rhs
-        res = np.abs(np.minimum(vk - psi[k, 1:-1], slack))
+        res = np.abs(np.minimum(vk - psi[k], slack))
         j = int(np.argmax(res))
         if res[j] > worst:
-            worst, witness = float(res[j]), (float(grid.t_nodes[k]), float(xi[j]))
+            worst, witness = float(res[j]), (float(grid.t_nodes[k]), float(grid.x_nodes[j]))
         size = np.abs(diag * vk)
         size[1:] += np.abs(lower[1:] * vk[:-1])
         size[:-1] += np.abs(upper[:-1] * vk[1:])
@@ -242,7 +289,7 @@ class TestResidualAndConvergence:
     @pytest.mark.parametrize("nt", [RESIDUAL_BLOCK - 1, RESIDUAL_BLOCK, RESIDUAL_BLOCK + 1,
                                     2 * RESIDUAL_BLOCK + 1])
     def test_blocked_residual_equals_per_step_scan(self, nt):
-        spec = _spec(drift="x*t - 0.3", sigma="1 + x*x/20",
+        spec = _spec(drift="x*t/2 - 0.3", sigma="1 + x*x/20",
                      running_reward=sl.from_expression("0.2*x - t", 1.0))
         grid = sl.build_grid(spec, 4.0, nt, 30, x_ref=0.0)
         surf = sl.solve_backward(sl.validate_problem(spec, grid), grid)
@@ -367,14 +414,11 @@ class TestLinearAlgebra:
 
     @pytest.mark.parametrize("name", list(sl.builtin_examples()))
     def test_gallery_complementarity_residual_at_round_off(self, name):
-        cfg = sl.builtin_examples()[name]
-        cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, nt=50, nx=50))
-        problem = prepare_problem(cfg)
-        surf = sl.solve_backward(problem, problem.disc.grid, theta=cfg.grid.theta)
+        surf = _solve_config(_gallery(name, nt=50, nx=50))
         psi = surf.obstacle
-        for k, lower, diag, upper, rhs in _backward_steps(problem.disc, surf.meta.theta,
-                                                          surf.meta.rannacher, surf.v):
-            v = surf.v[k, 1:-1]
+        for k, lower, diag, upper, rhs in _backward_steps(surf.problem.disc, surf.meta.theta,
+                                                          surf.v):
+            v = surf.v[k]
             slack = _dense(lower, diag, upper) @ v - rhs
-            res = np.max(np.abs(np.minimum(v - psi[k, 1:-1], slack)))
+            res = np.max(np.abs(np.minimum(v - psi[k], slack)))
             assert res <= 1e-12 * (1.0 + np.max(np.abs(rhs))), (k, res)
