@@ -17,7 +17,7 @@ import numpy as np
 from .fields import ScalarField
 from .grids import Grid
 from .reports import CheckReport, FAIL, INCONCLUSIVE, PASS
-from .simulate import LsmcValue, comparison_report
+from .simulate import TOL_ZERO, LsmcValue, comparison_report
 from .solver import (
     NEG_INF,
     POS_INF,
@@ -28,8 +28,6 @@ from .solver import (
     value_at,
 )
 from .problems import Orientation, ValidatedProblem, sample_rows
-
-TOL_ZERO = 1e-12  # strictness threshold defining the negative-drift region
 
 EVERYWHERE = "everywhere"
 WHERE_DRIFT_NEGATIVE = "where_drift_negative"
@@ -53,14 +51,13 @@ def check_reward_monotone_in_state(g: ScalarField, grid: Grid) -> CheckReport:
     return _reward_x_monotone(sample_rows(g, grid), grid)
 
 
-def _drift_t_monotone(rows: np.ndarray, grid: Grid, scope: str,
-                      tol_zero: float = TOL_ZERO) -> CheckReport:
+def _drift_t_monotone(rows: np.ndarray, grid: Grid, scope: str) -> CheckReport:
     if scope not in (EVERYWHERE, WHERE_DRIFT_NEGATIVE):
         raise ValueError(f"unknown scope {scope!r}")
     tol = round_off(rows)
     rises = rows[1:, :] - rows[:-1, :]  # positive where drift increases with t
     if scope == WHERE_DRIFT_NEGATIVE:
-        in_region = rows[1:, :] < -tol_zero  # later point must be in the region
+        in_region = rows[1:, :] < -TOL_ZERO  # later point must be in the region
         rises = np.where(in_region, rises, -np.inf)
         if not in_region.any():
             return CheckReport(f"drift_time_monotone_{scope}", INCONCLUSIVE, 0.0, None, tol,
@@ -77,8 +74,7 @@ def _drift_t_monotone(rows: np.ndarray, grid: Grid, scope: str,
 
 
 def check_drift_time_monotone(mu: ScalarField, grid: Grid,
-                              scope: str = EVERYWHERE,
-                              tol_zero: float = TOL_ZERO) -> CheckReport:
+                              scope: str = EVERYWHERE) -> CheckReport:
     """Is the drift nonincreasing in time, everywhere or on its negative region?
 
     In the region scope a pair (t_k, t_{k+1}) at fixed x counts only when the
@@ -86,7 +82,7 @@ def check_drift_time_monotone(mu: ScalarField, grid: Grid,
     over the negative-drift region; the check is consecutive-pair, hence at
     grid scale only.
     """
-    return _drift_t_monotone(sample_rows(mu, grid), grid, scope, tol_zero)
+    return _drift_t_monotone(sample_rows(mu, grid), grid, scope)
 
 
 def _running_monotone(rows: np.ndarray, grid: Grid) -> CheckReport:
@@ -118,9 +114,9 @@ class RegionMasks:
     nonnegative_drift: np.ndarray
 
 
-def classify_regions(surface: ValueSurface, tol_zero: float = TOL_ZERO) -> RegionMasks:
+def classify_regions(surface: ValueSurface) -> RegionMasks:
     mu = surface.problem.samples_on(surface.grid).mu
-    negative = mu < -tol_zero
+    negative = mu < -TOL_ZERO
     stopping = surface.exercise_mask
     return RegionMasks(
         continuation=~stopping,

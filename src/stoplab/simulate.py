@@ -40,7 +40,7 @@ from .reports import CheckReport, FAIL, PASS
 EULER = "euler"
 LOG_EULER = "log_euler"
 DRAW_BLOCK = 4096      # paths per block: the in-flight buffers hold 3 x DRAW_BLOCK x n_steps doubles
-BOOTSTRAP_BLOCK = 16   # resamples per bootstrap index draw: bounds the table and its gather
+TOL_ZERO = 1e-12       # the drift is negative below -TOL_ZERO: the one negative-drift rule
 
 
 class SimulationError(RuntimeError):
@@ -106,10 +106,10 @@ def everywhere_region() -> Region:
                   description="everywhere")
 
 
-def negative_drift_region(drift, tol_zero: float = 1e-12) -> Region:
-    """The open region where the drift is strictly negative (below -tol_zero)."""
+def negative_drift_region(drift) -> Region:
+    """The open region where the drift is strictly negative (below -TOL_ZERO)."""
     return Region(
-        indicator=lambda t, x: np.asarray(drift(t, x)) < -tol_zero,
+        indicator=lambda t, x: np.asarray(drift(t, x)) < -TOL_ZERO,
         description="drift < 0",
     )
 
@@ -334,15 +334,14 @@ class LsmcValue:
 
 
 def value_lsmc(problem: ValidatedProblem, t: float, x: float, n_paths: int,
-               n_steps: int, basis_degree: int, seed: int,
-               bootstrap: int = 200) -> LsmcValue:
+               n_steps: int, basis_degree: int, seed: int) -> LsmcValue:
     """Least-squares Monte Carlo estimate of the stopping value at (t, x).
 
     Backward induction over the simulation grid with a polynomial regression
     basis fit on paths whose immediate reward is positive (all paths when too
     few are); the running reward is integrated by the left-endpoint rule.
-    The standard error is a bootstrap over the realized per-path payoffs,
-    its resamples drawn in blocks (``_bootstrap_se``).
+    The standard error is the central-limit one of the mean payoff,
+    std(ddof=1) / sqrt(n) over the realized per-path payoffs.
     A rank-deficient regression matrix reduces the degree with a warning.
     """
     spec = problem.spec
@@ -410,7 +409,7 @@ def value_lsmc(problem: ValidatedProblem, t: float, x: float, n_paths: int,
     mean = float(payoffs.mean())
     immediate0 = float(np.asarray(g(times[0], np.asarray(x, dtype=float)), dtype=float))
     estimate = max(immediate0, mean)
-    se = _bootstrap_se(payoffs, seed, bootstrap)
+    se = float(payoffs.std(ddof=1) / np.sqrt(payoffs.size))
     return LsmcValue(estimate=estimate, standard_error=se, n_paths=int(keep.sum()),
                      warnings=tuple(warnings))
 
@@ -423,15 +422,3 @@ def _power_basis(z: np.ndarray, degree: int) -> np.ndarray:
     for p in range(1, degree + 1):
         np.multiply(basis[:, p - 1], z, out=basis[:, p])
     return basis
-
-
-def _bootstrap_se(payoffs: np.ndarray, seed: int, bootstrap: int) -> float:
-    """Bootstrap standard error of the mean payoff; the (bootstrap, n) index
-    draw is taken BOOTSTRAP_BLOCK resamples at a time from one Philox stream."""
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 0xB007])))
-    boot_means = np.empty(bootstrap)
-    for lo in range(0, bootstrap, BOOTSTRAP_BLOCK):
-        hi = min(lo + BOOTSTRAP_BLOCK, bootstrap)
-        idx = gen.integers(0, payoffs.size, size=(hi - lo, payoffs.size))
-        boot_means[lo:hi] = payoffs[idx].mean(axis=1)
-    return float(boot_means.std(ddof=1))

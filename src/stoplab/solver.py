@@ -19,9 +19,11 @@ cyclic reduction.
 The time mesh is uniform, or graded toward a drift pole at the horizon
 (``grids.time_nodes``); each step reads its own size.  The coefficients are
 read from the samples taken once per run by ``validate_problem``.  One
-helper assembles each backward step, for the solver and for the residual
-check alike.  The discrete problem has no side, so lower and upper
-boundary problems are solved alike on the user's axis.
+generator, ``_step_blocks``, assembles the backward steps STEP_BLOCK at a
+time, with one coefficient build per block; the solver walks its rows one
+step at a time and the residual check takes each block whole.  The
+discrete problem has no side, so lower and upper boundary problems are
+solved alike on the user's axis.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .problems import (
 )
 
 PECLET_SWITCH = 2.0
-RESIDUAL_BLOCK = 16   # backward steps per residual check block; its (16, nx + 1) arrays stay in cache
+STEP_BLOCK = 16   # backward steps assembled at once; the (16, nx + 1) arrays stay in cache
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
@@ -266,43 +268,37 @@ def _howard(lower, diag, upper, rhs, psi, v0, where):
     raise SolverError(f"policy iteration did not settle in {rhs.size + 1} iterations ({where})")
 
 
-def _step_system(th, dt, co_now, co_next, v_next, f_now, f_next, src):
-    """The theta-step's tridiagonal system (lower, diag, upper, rhs) on all nodes.
+def _step_blocks(disc: Discretization, theta: float):
+    """Assemble the backward steps' tridiagonal systems, STEP_BLOCK steps at a time.
 
-    co_now and co_next are the operator coefficients at the step's two
-    nodes, v_next the later slice, f_now and f_next the running reward (None
-    without one) and src the step's two edge sources (``_edge_source``).
-    Every operation is elementwise, so one step (scalar th and dt, 1-D rows)
-    and a block of steps ((B, 1) th and dt, (B, n) rows) give the same bits,
-    row by row.
-    """
-    lo_n, di_n, up_n = co_now
-    rhs = v_next + (1.0 - th) * dt * _tridiag_apply(*co_next, v_next)
-    if f_now is not None:
-        rhs = rhs + dt * (th * f_now + (1.0 - th) * f_next)
-    rhs[..., ::rhs.shape[-1] - 1] += src
-    return -th * dt * lo_n, 1.0 - th * dt * di_n, -th * dt * up_n, rhs
-
-
-def _backward_steps(disc: Discretization, theta: float, v: np.ndarray):
-    """Assemble each backward step's tridiagonal system, from k = nt-1 down to 0.
-
-    Yields (k, lower, diag, upper, rhs) for the unknowns v[k].  The
-    right-hand side reads v[k + 1], so the caller fills each slice before
-    the next step is assembled.
+    Walks from the horizon down and yields (lo, hi, lower, diag, upper, rhs)
+    for the steps lo .. hi - 1, whose unknowns are v[lo:hi]: the (hi - lo, n)
+    rows of I - theta dt L, from one ``_operator_coefficients`` call on
+    mu[lo:hi + 1], and ``rhs(v_next, r)``, the right-hand side of block row r
+    from the later slice v_next = v[lo + r + 1], or of every row from
+    v_next = v[lo + 1:hi + 1] when r is omitted.  Every operation is
+    elementwise, so a row and the whole block give the same bits.
     """
     grid = disc.grid
-    nt, steps, dx = grid.nt, grid.steps, grid.dx
-    th = _step_thetas(theta, nt)
-    src = _edge_source(disc, th)
+    thetas = _step_thetas(theta, grid.nt)
+    sources = _edge_source(disc, thetas)
     sig2 = disc.sigma * disc.sigma
-    f = disc.f
-    co_next = _operator_coefficients(disc.mu[nt], sig2, dx)
-    for k in range(nt - 1, -1, -1):
-        co_now = _operator_coefficients(disc.mu[k], sig2, dx)
-        f_now, f_next = (None, None) if f is None else (f[k], f[k + 1])
-        yield k, *_step_system(th[k], steps[k], co_now, co_next, v[k + 1], f_now, f_next, src[k])
-        co_next = co_now
+    for hi in range(grid.nt, 0, -STEP_BLOCK):
+        lo = max(hi - STEP_BLOCK, 0)
+        th, dt, src = thetas[lo:hi, None], grid.steps[lo:hi, None], sources[lo:hi]
+        f = None if disc.f is None else disc.f[lo:hi + 1]
+        co = _operator_coefficients(disc.mu[lo:hi + 1], sig2, grid.dx)
+
+        def rhs(v_next, r=None, th=th, dt=dt, src=src, f=f, co=co):  # binds this block's arrays
+            k = slice(None) if r is None else r
+            b = v_next + (1.0 - th[k]) * dt[k] * _tridiag_apply(*(c[1:][k] for c in co), v_next)
+            if f is not None:
+                b = b + dt[k] * (th[k] * f[:-1][k] + (1.0 - th[k]) * f[1:][k])
+            b[..., ::b.shape[-1] - 1] += src[k]
+            return b
+
+        lo_n, di_n, up_n = (c[:-1] for c in co)
+        yield lo, hi, -th * dt * lo_n, 1.0 - th * dt * di_n, -th * dt * up_n, rhs
 
 
 def solve_backward(problem: ValidatedProblem, grid: Grid, theta: float = 0.5) -> ValueSurface:
@@ -323,10 +319,12 @@ def solve_backward(problem: ValidatedProblem, grid: Grid, theta: float = 0.5) ->
     v[-1] = psi[-1]
     iterations = np.zeros(grid.nt, dtype=int)
     worst_res = 0.0
-    for k, lower, diag, upper, rhs in _backward_steps(disc, theta, v):
-        v[k], iterations[k], res = _howard(lower, diag, upper, rhs, psi[k], v[k + 1],
-                                           where=f"t={ts[k]:.6g}")
-        worst_res = max(worst_res, res)
+    for lo, hi, lower, diag, upper, rhs in _step_blocks(disc, theta):
+        for r in range(hi - lo - 1, -1, -1):
+            k = lo + r
+            v[k], iterations[k], res = _howard(lower[r], diag[r], upper[r], rhs(v[k + 1], r),
+                                               psi[k], v[k + 1], where=f"t={ts[k]:.6g}")
+            worst_res = max(worst_res, res)
 
     meta = SchemeMeta(theta=theta, psor_sweeps=iterations, psor_worst_residual=worst_res)
     return ValueSurface(grid=grid, v=v, obstacle=psi, exercise_mask=v <= psi,
@@ -405,38 +403,29 @@ def unflip_boundary(boundary: Boundary) -> Boundary:
 def residual_complementarity(surface: ValueSurface):
     """A posteriori check that the surface solves its own discrete problem.
 
-    Re-assembles the backward steps, RESIDUAL_BLOCK at a time, and measures
-    the natural LCP residual |min(v - g, A v - rhs)| on every node: the
-    quantity each policy-iteration solve ends on.  It covers obstacle
-    violations (v < g), unsolved continuation rows and wrong-sided stop rows
-    alike.  The tolerance is the round-off level of the residual's own
-    scale, |lower||v_{i-1}| + |diag||v_i| + |upper||v_{i+1}| + |rhs|, at
-    its largest over all nodes and steps: it grows with the operator's
-    stiffness as the rounding of A v does.
+    Takes the solver's own systems from ``_step_blocks``, STEP_BLOCK steps
+    at once with their right-hand sides read off the surface's later
+    slices, and measures the natural LCP residual |min(v - g, A v - rhs)|
+    on every node, edge rows included: the quantity each policy-iteration
+    solve ends on.  It covers obstacle violations (v < g), unsolved
+    continuation rows and wrong-sided stop rows alike.  The tolerance is the
+    round-off level of the residual's own scale, |lower||v_{i-1}| +
+    |diag||v_i| + |upper||v_{i+1}| + |rhs|, at its largest over all nodes
+    and steps: it grows with the operator's stiffness as the rounding of
+    A v does.
     """
     from .reports import CheckReport, FAIL, PASS
 
     grid = surface.grid
-    nt, steps = grid.nt, grid.steps
     psi, v = surface.obstacle, surface.v
     disc = surface.problem.samples_on(grid)
-    th = _step_thetas(surface.meta.theta, nt)
-    src = _edge_source(disc, th)
-    sig2 = disc.sigma * disc.sigma
-    f = disc.f
 
     worst, witness, scale = 0.0, None, 0.0
-    for hi in range(nt, 0, -RESIDUAL_BLOCK):   # steps lo .. hi - 1, all at once
-        lo = max(hi - RESIDUAL_BLOCK, 0)
-        co = _operator_coefficients(disc.mu[lo:hi + 1], sig2, grid.dx)
-        f_now, f_next = (None, None) if f is None else (f[lo:hi], f[lo + 1:hi + 1])
-        lower, diag, upper, rhs = _step_system(
-            th[lo:hi, None], steps[lo:hi, None], [c[:-1] for c in co], [c[1:] for c in co],
-            v[lo + 1:hi + 1], f_now, f_next, src[lo:hi])
-        vk = v[lo:hi]
-        slack = _tridiag_apply(lower, diag, upper, vk) - rhs
+    for lo, hi, lower, diag, upper, rhs in _step_blocks(disc, surface.meta.theta):
+        vk, b = v[lo:hi], rhs(v[lo + 1:hi + 1])
+        slack = _tridiag_apply(lower, diag, upper, vk) - b
         res = np.abs(np.minimum(vk - psi[lo:hi], slack))
-        size = _tridiag_apply(np.abs(lower), np.abs(diag), np.abs(upper), np.abs(vk)) + np.abs(rhs)
+        size = _tridiag_apply(np.abs(lower), np.abs(diag), np.abs(upper), np.abs(vk)) + np.abs(b)
         scale = max(scale, float(np.max(size)))
         j = res.argmax(axis=1)
         top = res[np.arange(hi - lo), j]
@@ -447,7 +436,7 @@ def residual_complementarity(surface: ValueSurface):
 
     tol = round_off(scale)
     return CheckReport("residual_complementarity", PASS if worst <= tol else FAIL, worst, witness,
-                       tol, f"max |min(v - g, A v - rhs)| over {nt} backward steps")
+                       tol, f"max |min(v - g, A v - rhs)| over {grid.nt} backward steps")
 
 
 def value_at(surface: ValueSurface, t: float, x: float) -> float:

@@ -11,7 +11,6 @@ from stoplab.problems import StateSpace
 from stoplab.simulate import (
     DRAW_BLOCK,
     SimulationError,
-    _bootstrap_se,
     _exit_steps,
     _increment_blocks,
     _power_basis,
@@ -264,7 +263,7 @@ class TestPipeline:
         prob = sl.validate_problem(spec, sl.make_grid(1.0, -5, 5, 20, 20))
         n_paths = 2 * DRAW_BLOCK + 7
         seen.clear()
-        sl.value_lsmc(prob, 0.0, 0.0, n_paths, 6, 2, seed=1, bootstrap=2)
+        sl.value_lsmc(prob, 0.0, 0.0, n_paths, 6, 2, seed=1)
         region = sl.Region(indicator=spy(lambda t, x: np.asarray(x) > -1.0))
         sl.simulate_coupled(prob, 0.5, 0.25, 0.0, region, n_paths, 6, seed=2)
         assert seen == {threading.get_ident()}
@@ -409,13 +408,14 @@ class TestLsmc:
         res = sl.value_lsmc(prob, 0.0, 0.0, 5_000, 64, 2, seed=44)
         assert res.estimate == pytest.approx(1.0, abs=0.02)
 
-    @pytest.mark.parametrize("bootstrap", [2, 16, 17, 200])
-    def test_blocked_bootstrap_equals_one_shot_draw(self, bootstrap):
-        payoffs = np.random.default_rng(5).normal(size=37)
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([9, 0xB007])))
-        idx = gen.integers(0, payoffs.size, size=(bootstrap, payoffs.size))
-        expect = float(payoffs[idx].mean(axis=1).std(ddof=1))
-        assert _bootstrap_se(payoffs, 9, bootstrap) == expect
+    def test_standard_error_is_the_clt_one(self):
+        # drift 2 never stops early: every payoff is X_T, so the estimate is
+        # mean(X_T) and its standard error std(X_T, ddof=1) / sqrt(n)
+        prob = _problem(drift="2", sigma="1")
+        res = sl.value_lsmc(prob, 0.0, 0.0, 500, 16, 3, seed=7)
+        x_end = sl.simulate_paths(prob, 0.0, 0.0, 500, 16, seed=7).states[:, -1]
+        assert res.estimate == x_end.mean()
+        assert res.standard_error == x_end.std(ddof=1) / np.sqrt(500)
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
     def test_power_basis_is_vander_bit_for_bit(self, degree):

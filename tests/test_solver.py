@@ -14,9 +14,12 @@ from stoplab.problems import Orientation, StateSpace
 from stoplab.solver import (
     NEG_INF,
     POS_INF,
-    RESIDUAL_BLOCK,
-    _backward_steps,
+    STEP_BLOCK,
+    _edge_source,
     _howard,
+    _operator_coefficients,
+    _step_blocks,
+    _step_thetas,
     _tridiag_apply,
     _tridiag_solve,
     round_off,
@@ -265,12 +268,33 @@ class TestFarFieldEdges:
         assert err.value.stage == "solve"
 
 
+def _per_step_systems(disc, theta, v):
+    """Reference assembly, one backward step at a time from k = nt-1 down to 0, with
+    the operator coefficients built per time node.  Yields (k, lower, diag, upper,
+    rhs); rhs reads v[k + 1], so a solve fills each slice before the next step."""
+    grid = disc.grid
+    th = _step_thetas(theta, grid.nt)
+    src = _edge_source(disc, th)
+    sig2 = disc.sigma * disc.sigma
+    co_next = _operator_coefficients(disc.mu[grid.nt], sig2, grid.dx)
+    for k in range(grid.nt - 1, -1, -1):
+        lo_n, di_n, up_n = co_now = _operator_coefficients(disc.mu[k], sig2, grid.dx)
+        th_k, dt = th[k], grid.steps[k]
+        rhs = v[k + 1] + (1.0 - th_k) * dt * _tridiag_apply(*co_next, v[k + 1])
+        if disc.f is not None:
+            rhs = rhs + dt * (th_k * disc.f[k] + (1.0 - th_k) * disc.f[k + 1])
+        rhs[::rhs.size - 1] += src[k]
+        yield k, -th_k * dt * lo_n, 1.0 - th_k * dt * di_n, -th_k * dt * up_n, rhs
+        co_next = co_now
+
+
 def _residual_per_step(surface):
     """Reference residual check: one backward step at a time, k = nt-1 down to 0,
     a strictly larger residual replacing the witness."""
     grid, v, psi = surface.grid, surface.v, surface.obstacle
     worst, witness, scale = 0.0, None, 0.0
-    for k, lower, diag, upper, rhs in _backward_steps(surface.problem.disc, surface.meta.theta, v):
+    for k, lower, diag, upper, rhs in _per_step_systems(surface.problem.disc,
+                                                        surface.meta.theta, v):
         vk = v[k]
         slack = _tridiag_apply(lower, diag, upper, vk) - rhs
         res = np.abs(np.minimum(vk - psi[k], slack))
@@ -285,21 +309,57 @@ def _residual_per_step(surface):
     return worst, witness, 1e-12 * (1.0 + scale)
 
 
+def _running_reward_surface(nt):
+    spec = _spec(drift="x*t/2 - 0.3", sigma="1 + x*x/20",
+                 running_reward=sl.from_expression("0.2*x - t", 1.0))
+    grid = sl.build_grid(spec, 4.0, nt, 30, x_ref=0.0)
+    return sl.solve_backward(sl.validate_problem(spec, grid), grid)
+
+
+BLOCK_EDGES = [STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 2 * STEP_BLOCK + 1]
+
+
 class TestResidualAndConvergence:
-    @pytest.mark.parametrize("nt", [RESIDUAL_BLOCK - 1, RESIDUAL_BLOCK, RESIDUAL_BLOCK + 1,
-                                    2 * RESIDUAL_BLOCK + 1])
+    @pytest.mark.parametrize("nt", BLOCK_EDGES)
+    def test_blocked_solve_equals_per_step_solve(self, nt):
+        surf = _running_reward_surface(nt)
+        disc, psi = surf.problem.disc, surf.obstacle
+        v = np.empty_like(surf.v)
+        v[-1] = psi[-1]
+        iterations = np.zeros(nt, dtype=int)
+        for k, lower, diag, upper, rhs in _per_step_systems(disc, surf.meta.theta, v):
+            v[k], iterations[k], _ = _howard(lower, diag, upper, rhs, psi[k], v[k + 1], "ref")
+        assert np.array_equal(surf.v, v)
+        assert np.array_equal(surf.meta.psor_sweeps, iterations)
+        assert iterations.any()   # the stop set moves, so the solves are not all warm starts
+
+    @pytest.mark.parametrize("nt", BLOCK_EDGES)
+    def test_one_coefficient_build_per_block(self, nt, monkeypatch):
+        calls = []
+
+        def counted(mu, sig2, dx):
+            calls.append(mu.shape)
+            return _operator_coefficients(mu, sig2, dx)
+
+        monkeypatch.setattr(sl.solver, "_operator_coefficients", counted)
+        surf = _running_reward_surface(nt)
+        blocks = -(-nt // STEP_BLOCK)
+        assert len(calls) == blocks
+        sl.residual_complementarity(surf)
+        assert len(calls) == 2 * blocks
+        assert sum(shape[0] - 1 for shape in calls) == 2 * nt
+
+    @pytest.mark.parametrize("nt", BLOCK_EDGES)
     def test_blocked_residual_equals_per_step_scan(self, nt):
-        spec = _spec(drift="x*t/2 - 0.3", sigma="1 + x*x/20",
-                     running_reward=sl.from_expression("0.2*x - t", 1.0))
-        grid = sl.build_grid(spec, 4.0, nt, 30, x_ref=0.0)
-        surf = sl.solve_backward(sl.validate_problem(spec, grid), grid)
+        surf = _running_reward_surface(nt)
+        grid = surf.grid
         report = sl.residual_complementarity(surf)
         assert (report.worst_violation, report.witness, report.tolerance) == \
             _residual_per_step(surf)
         assert report.verdict == "PASS"
 
         # a residual of 1e-9 planted at the same stop node of two steps, in
-        # different blocks when nt > RESIDUAL_BLOCK: the check fails, and the
+        # different blocks when nt > STEP_BLOCK: the check fails, and the
         # later step is the witness
         k_late, k_early, j = nt - 5, 2, 12
         v = surf.v.copy()
@@ -416,9 +476,10 @@ class TestLinearAlgebra:
     def test_gallery_complementarity_residual_at_round_off(self, name):
         surf = _solve_config(_gallery(name, nt=50, nx=50))
         psi = surf.obstacle
-        for k, lower, diag, upper, rhs in _backward_steps(surf.problem.disc, surf.meta.theta,
-                                                          surf.v):
-            v = surf.v[k]
-            slack = _dense(lower, diag, upper) @ v - rhs
-            res = np.max(np.abs(np.minimum(v - psi[k], slack)))
-            assert res <= 1e-12 * (1.0 + np.max(np.abs(rhs))), (k, res)
+        for lo, hi, lower, diag, upper, rhs in _step_blocks(surf.problem.disc, surf.meta.theta):
+            for r in range(hi - lo):
+                k, v = lo + r, surf.v[lo + r]
+                b = rhs(surf.v[k + 1], r)
+                slack = _dense(lower[r], diag[r], upper[r]) @ v - b
+                res = np.max(np.abs(np.minimum(v - psi[k], slack)))
+                assert res <= 1e-12 * (1.0 + np.max(np.abs(b))), (k, res)
