@@ -271,6 +271,9 @@ def _validate(values: dict) -> None:
         raise ConfigError(f"theta must lie in [0, 1], got {theta}")
     if "simulation" in values and "seed" not in values["simulation"]:
         raise ConfigError("section [simulation] requires an explicit seed (no entropy defaults)")
+    for key, least in (("n_paths", 2), ("n_steps", 1), ("lsmc_degree", 0)):
+        if values.get("simulation", {}).get(key, least) < least:
+            raise ConfigError(f"{key} must be at least {least}, got {values['simulation'][key]}")
     fam = prob.get("drift_family")
     for _, key, _, _ in string.Formatter().parse(FAMILIES.get(fam, "")):
         if key and key not in prob:

@@ -9,13 +9,13 @@ stays path by path.
 
 The paths are stepped DRAW_BLOCK at a time (``_increment_blocks``).  One
 worker thread draws and transposes the next block's increments while the
-calling thread steps the current one.  The worker runs numpy only, the draw
-into one buffer and the transpose into another; every stoplab callable (drift,
-diffusion, region indicator, rewards) runs on the calling thread.  The output
-does not depend on the threads: there is one Philox stream, drawn block after
-block in path order, and every Euler, poison and exit operation is
-elementwise per path, so a block's paths come out as they would in one
-full-width pass.  The worker is joined before the call returns or raises.
+calling thread steps the current one; it runs numpy only, and every stoplab
+callable (drift, diffusion, region indicator, rewards) runs on the calling
+thread.  The output does not depend on the threads: there is one Philox
+stream, drawn block after block in path order, and every Euler, poison and
+exit operation is elementwise per path, so a block's paths come out as they
+would in one full-width pass.  The worker is joined before the call returns
+or raises.
 
 Positive-half-line problems are simulated in log coordinates so paths stay
 strictly positive.  Paths step on the solver's time rule
@@ -36,10 +36,12 @@ import numpy as np
 from .grids import time_nodes, time_steps
 from .problems import StateSpace, ValidatedProblem
 from .reports import CheckReport, FAIL, PASS
+from .solver import round_off
 
 EULER = "euler"
 LOG_EULER = "log_euler"
-DRAW_BLOCK = 4096      # paths per block: the in-flight buffers hold 3 x DRAW_BLOCK x n_steps doubles
+DRAW_BLOCK = 4096      # paths per block: two step-major buffers of DRAW_BLOCK x n_steps doubles
+DRAW_SLICE = 256       # paths per draw: the path-major buffer holds DRAW_SLICE x n_steps doubles
 TOL_ZERO = 1e-12       # the drift is negative below -TOL_ZERO: the one negative-drift rule
 
 
@@ -120,12 +122,12 @@ def _increment_blocks(seed: int, n_paths: int, n_steps: int):
 
     The blocks together are the transpose of one
     standard_normal((n_paths, n_steps)) draw from the seed's Philox stream.
-    A single worker thread draws block b + 1, into one path-major buffer,
-    and transposes it into one of two step-major buffers while the caller
-    uses block b; z is overwritten once the block after next is drawn, so it
-    is valid until the caller asks for the next block.  Every buffer is
-    allocated here, on the calling thread.  Closing the generator joins the
-    worker, so callers wrap it in ``contextlib.closing``.
+    A single worker thread draws block b + 1, DRAW_SLICE paths at a time into
+    one buffer, each slice transposed in cache into one of two step-major
+    buffers, while the caller uses block b; z is overwritten once the block
+    after next is drawn, so it is valid until the caller asks for the next
+    block.  Every buffer is allocated here, on the calling thread.  Closing
+    the generator joins the worker, so callers wrap it in ``contextlib.closing``.
     """
     from concurrent.futures import ThreadPoolExecutor   # here, to keep it out of set-up
 
@@ -133,14 +135,15 @@ def _increment_blocks(seed: int, n_paths: int, n_steps: int):
         return
     gen = np.random.Generator(np.random.Philox(seed))
     width = min(DRAW_BLOCK, n_paths)
-    drawn = np.empty((width, n_steps))
+    drawn = np.empty((min(DRAW_SLICE, width), n_steps))
     step_major = (np.empty(n_steps * width), np.empty(n_steps * width))
 
     def draw(lo, hi, flat):
         m = hi - lo
-        gen.standard_normal(out=drawn[:m])
         z = flat[: n_steps * m].reshape(n_steps, m)
-        z[...] = drawn[:m].T
+        for p in range(0, m, DRAW_SLICE):   # each slice transposed while it is in cache
+            part = z[:, p:p + DRAW_SLICE]
+            part[...] = gen.standard_normal(out=drawn[: part.shape[1]]).T
         return z
 
     bounds = [(lo, min(lo + DRAW_BLOCK, n_paths)) for lo in range(0, n_paths, DRAW_BLOCK)]
@@ -208,8 +211,8 @@ def simulate_paths(problem: ValidatedProblem, t: float, x: float, n_paths: int,
                    n_steps: int, seed: int) -> PathBundle:
     """Simulate n_paths Euler paths of the problem's state process from (t, x)."""
     spec = problem.spec
-    if n_steps < 1:
-        raise SimulationError(f"need n_steps >= 1, got {n_steps}")
+    if n_steps < 1 or n_paths < 1:
+        raise SimulationError(f"need n_steps >= 1 and n_paths >= 1, got {n_steps} and {n_paths}")
     scheme = _scheme(spec)
     times = _window(spec, t, n_steps)
     steps = time_steps(times, spec.pole_at_horizon)
@@ -337,12 +340,13 @@ def value_lsmc(problem: ValidatedProblem, t: float, x: float, n_paths: int,
                n_steps: int, basis_degree: int, seed: int) -> LsmcValue:
     """Least-squares Monte Carlo estimate of the stopping value at (t, x).
 
-    Backward induction over the simulation grid with a polynomial regression
-    basis fit on paths whose immediate reward is positive (all paths when too
-    few are); the running reward is integrated by the left-endpoint rule.
-    The standard error is the central-limit one of the mean payoff,
-    std(ddof=1) / sqrt(n) over the realized per-path payoffs.
-    A rank-deficient regression matrix reduces the degree with a warning.
+    Backward induction over the simulation grid; the running reward is
+    integrated by the left-endpoint rule.  Each step regresses the
+    continuation on the paths whose immediate reward is positive (all paths
+    when too few are): Legendre rows of their states scaled onto [-1, 1] by
+    midpoint and half-range, a Cholesky solve of the Gram matrix, and while
+    its block is rank-deficient (``_fit``) the degree drops by one for good,
+    with a warning.  The standard error is std(ddof=1) / sqrt(n) of the payoffs.
     """
     spec = problem.spec
     bundle = simulate_paths(problem, t, x, n_paths, n_steps, seed)
@@ -352,21 +356,16 @@ def value_lsmc(problem: ValidatedProblem, t: float, x: float, n_paths: int,
     if bundle.poisoned.any():
         warnings.append(f"{int(bundle.poisoned.sum())} poisoned paths excluded from payoffs")
 
-    g = spec.terminal_reward
-    f = spec.running_reward
+    g, f = spec.terminal_reward, spec.running_reward
 
     def reward_at(k):
         return np.asarray(g(times[k], rows[k]), dtype=float) + np.zeros(n_paths)
 
+    frun = None
     if f is not None:
-        frun = np.empty((n_steps + 1, n_paths))
-        frun[0] = 0.0
-        acc = np.zeros(n_paths)
+        frun = np.zeros((n_steps + 1, n_paths))
         for k in range(n_steps):
-            acc = acc + np.asarray(f(times[k], rows[k]), dtype=float) * bundle.steps[k]
-            frun[k + 1] = acc
-    else:
-        frun = None
+            frun[k + 1] = frun[k] + np.asarray(f(times[k], rows[k]), dtype=float) * bundle.steps[k]
 
     def total_if_stopped(k, immediate):
         return immediate if frun is None else immediate + frun[k]
@@ -374,7 +373,6 @@ def value_lsmc(problem: ValidatedProblem, t: float, x: float, n_paths: int,
     total = total_if_stopped(n_steps, reward_at(n_steps))
     degree = int(basis_degree)
     for k in range(n_steps - 1, 0, -1):
-        xk = rows[k]
         immediate = reward_at(k)
         exercise = total_if_stopped(k, immediate)
         candidates = np.nonzero(immediate > 0)[0]
@@ -384,41 +382,52 @@ def value_lsmc(problem: ValidatedProblem, t: float, x: float, n_paths: int,
         future = total[candidates]
         if frun is not None:
             future = future - frun[k, candidates]
-        z = xk[candidates]
-        spread = z.std()
-        z = (z - z.mean()) / (spread if spread > 0 else 1.0)
-        basis = _power_basis(z, degree)
-        coef, _, rank, _ = np.linalg.lstsq(basis, future, rcond=None)
-        if rank < degree + 1 and degree > 1:
-            degree -= 1
-            warnings.append(
-                f"regression matrix rank-deficient at step {k}; degree reduced to {degree}"
-            )
-            basis = basis[:, : degree + 1]
-            coef, _, _, _ = np.linalg.lstsq(basis, future, rcond=None)
-        continuation = basis @ coef
+        z = rows[k][candidates]
+        lo, hi = z.min(), z.max()
+        z = (z - 0.5 * (hi + lo)) / (0.5 * (hi - lo) if hi > lo else 1.0)
+        basis = _legendre_rows(z, degree)
+        coef, fitted = _fit(basis, future, degree)
+        warnings += [f"regression matrix rank-deficient at step {k}; degree reduced to {d}"
+                     for d in range(degree - 1, fitted - 1, -1)]
+        degree = fitted
+        continuation = coef @ basis[: degree + 1]
         if frun is not None:
             continuation = continuation + frun[k, candidates]
         stop = candidates[exercise[candidates] >= continuation]
         total[stop] = exercise[stop]
 
-    keep = ~bundle.poisoned
-    payoffs = total[keep]
+    payoffs = total[~bundle.poisoned]
     if payoffs.size == 0:
         raise SimulationError("all paths poisoned; no payoffs to average")
-    mean = float(payoffs.mean())
     immediate0 = float(np.asarray(g(times[0], np.asarray(x, dtype=float)), dtype=float))
-    estimate = max(immediate0, mean)
-    se = float(payoffs.std(ddof=1) / np.sqrt(payoffs.size))
-    return LsmcValue(estimate=estimate, standard_error=se, n_paths=int(keep.sum()),
-                     warnings=tuple(warnings))
+    return LsmcValue(estimate=max(immediate0, float(payoffs.mean())),
+                     standard_error=float(payoffs.std(ddof=1) / np.sqrt(payoffs.size)),
+                     n_paths=payoffs.size, warnings=tuple(warnings))
 
 
-def _power_basis(z: np.ndarray, degree: int) -> np.ndarray:
-    """The C-ordered (n, degree + 1) regression basis 1, z, z^2, ...: bit for bit
-    ``np.vander(z, degree + 1, increasing=True)``, one column product per power."""
-    basis = np.empty((z.size, degree + 1))
-    basis[:, 0] = 1.0
-    for p in range(1, degree + 1):
-        np.multiply(basis[:, p - 1], z, out=basis[:, p])
-    return basis
+def _legendre_rows(z: np.ndarray, degree: int) -> np.ndarray:
+    """The C-ordered (degree + 1, n) Legendre rows P_0(z), ..., P_degree(z), by the
+    recurrence (j + 1) P_{j+1} = (2j + 1) z P_j - j P_{j-1}."""
+    rows = np.empty((degree + 1, z.size))
+    rows[0] = 1.0
+    rows[1:2] = z   # P_1, unless degree is 0
+    for j in range(1, degree):
+        np.multiply(rows[j], z, out=rows[j + 1])
+        rows[j + 1] *= (2 * j + 1) / (j + 1)
+        rows[j + 1] -= j / (j + 1) * rows[j - 1]
+    return rows
+
+
+def _fit(rows: np.ndarray, future: np.ndarray, degree: int) -> tuple[np.ndarray, int]:
+    """The least-squares coefficients of ``future`` on ``rows[: d + 1]`` by a Cholesky
+    solve of the normal equations, and d: the highest d <= ``degree`` whose leading
+    Gram block factors with every squared pivot above round-off.  Degree 0 always does."""
+    gram, proj = rows @ rows.T, rows @ future
+    for d in range(degree, -1, -1):
+        block = gram[: d + 1, : d + 1]
+        try:
+            low = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            continue
+        if (np.diagonal(low) ** 2 > round_off(block)).all():
+            return np.linalg.solve(low.T, np.linalg.solve(low, proj[: d + 1])), d

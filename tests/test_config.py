@@ -96,6 +96,14 @@ def test_seed_required_in_simulation():
         loads_config(text)
 
 
+@pytest.mark.parametrize("key, value", [("n_paths", 1), ("n_paths", 0), ("n_paths", -3),
+                                        ("n_steps", 0), ("lsmc_degree", -1)])
+def test_bad_simulation_count_rejected(key, value):
+    text = MINIMAL.replace("seed = 42", f"seed = 42\n{key} = {value}")
+    with pytest.raises(ConfigError, match=f"{key} must be at least"):
+        loads_config(text)
+
+
 def test_bad_expression_reports_offset():
     with pytest.raises(ConfigError, match="offset"):
         loads_config(MINIMAL.replace('drift = "0"', 'drift = "x +"'))

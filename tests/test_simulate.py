@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legvander
 
 import stoplab as sl
 from stoplab.problems import StateSpace
@@ -12,8 +13,9 @@ from stoplab.simulate import (
     DRAW_BLOCK,
     SimulationError,
     _exit_steps,
+    _fit,
     _increment_blocks,
-    _power_basis,
+    _legendre_rows,
     _run_euler,
     coupling_statistic,
     everywhere_region,
@@ -165,8 +167,8 @@ class TestSimulatePaths:
             last_good = moved[-1] + 1 if moved.size else 0
             assert last_good < n_steps and (path[last_good:] == path[last_good]).all()
 
-    @pytest.mark.parametrize("n_paths", [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1,
-                                         3 * DRAW_BLOCK + 5])
+    @pytest.mark.parametrize("n_paths", [1, 255, 257, DRAW_BLOCK - 1, DRAW_BLOCK,
+                                         DRAW_BLOCK + 1, DRAW_BLOCK + 300, 3 * DRAW_BLOCK + 5])
     def test_increments_are_the_transposed_one_shot_draw(self, n_paths):
         expect = np.random.Generator(np.random.Philox(17)).standard_normal((n_paths, 3)).T
         seen = 0
@@ -191,10 +193,13 @@ class TestSimulatePaths:
         assert np.array_equal(bundle.times(), grid.t_nodes)
         assert np.array_equal(bundle.steps, grid.steps)
 
-    def test_needs_at_least_one_step(self):
+    @pytest.mark.parametrize("n_paths, n_steps", [(4, 0), (0, 4)])
+    def test_needs_at_least_one_step_and_path(self, n_paths, n_steps):
         prob = _problem()
         with pytest.raises(SimulationError):
-            sl.simulate_paths(prob, 0.0, 0.0, 4, 0, seed=1)
+            sl.simulate_paths(prob, 0.0, 0.0, n_paths, n_steps, seed=1)
+        with pytest.raises(SimulationError):
+            sl.value_lsmc(prob, 0.0, 0.0, n_paths, n_steps, 3, seed=1)
 
 
 SPANNING = [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 3 * DRAW_BLOCK + 5]
@@ -417,19 +422,35 @@ class TestLsmc:
         assert res.estimate == x_end.mean()
         assert res.standard_error == x_end.std(ddof=1) / np.sqrt(500)
 
-    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
-    def test_power_basis_is_vander_bit_for_bit(self, degree):
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5])
+    def test_cholesky_fit_is_the_least_squares_fit(self, degree):
         rng = np.random.default_rng(degree)
-        z = rng.normal(size=5000)
+        z = rng.uniform(-1.0, 1.0, size=5000)
         future = np.maximum(z, 0.0) + rng.normal(size=z.size)
-        basis, expect = _power_basis(z, degree), np.vander(z, degree + 1, increasing=True)
-        assert basis.flags.c_contiguous and np.array_equal(basis, expect)
-        # the full basis, and the slice the rank fallback regresses on
-        for cols in {degree + 1, max(degree, 2)}:
-            coef = np.linalg.lstsq(basis[:, :cols], future, rcond=None)[0]
-            ref = np.linalg.lstsq(expect[:, :cols], future, rcond=None)[0]
-            assert np.array_equal(coef, ref)
-            assert np.array_equal(basis[:, :cols] @ coef, expect[:, :cols] @ ref)
+        rows = _legendre_rows(z, degree)
+        assert rows.flags.c_contiguous
+        assert np.allclose(rows, legvander(z, degree).T, rtol=0.0, atol=1e-13)
+        coef, fitted = _fit(rows, future, degree)
+        ref = np.linalg.lstsq(rows.T, future, rcond=None)[0]
+        assert fitted == degree
+        assert np.abs(coef - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_rank_deficient_fit_lowers_the_degree(self):
+        # 4 paths cannot determine 6 or 5 coefficients: the first regression
+        # falls back to degree 3, which then holds for every later step
+        prob = _problem(drift="0.0 - x", sigma="1")
+        res = sl.value_lsmc(prob, 0.0, 0.0, 4, 16, 5, seed=3)
+        assert res.warnings == tuple(
+            f"regression matrix rank-deficient at step 15; degree reduced to {d}" for d in (4, 3)
+        )
+        assert np.isfinite(res.estimate)
+
+    def test_round_off_pivot_is_rank_deficient(self):
+        # on two points P_2 = P_0, yet Cholesky factors this degree-2 Gram
+        # block with a squared pivot of 1.8e-15: the round-off rule rejects it
+        z = np.repeat([-1.0, 1.0], [3, 5])
+        coef, fitted = _fit(_legendre_rows(z, 2), z, 2)
+        assert fitted == 1 and np.allclose(coef, [0.0, 1.0], rtol=0.0, atol=1e-14)
 
     def test_deterministic_given_seed(self):
         prob = _problem(drift="0", sigma="1")
