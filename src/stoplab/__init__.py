@@ -18,17 +18,7 @@ from .problems import (
     reduce_to_running_reward,
     validate_problem,
 )
-from .filtering import (
-    Prior,
-    discrete_prior,
-    density_prior,
-    gaussian_drift,
-    gaussian_prior,
-    posterior_drift,
-    two_point_drift,
-    two_point_drift_dt,
-    two_point_prior,
-)
+from .filtering import Prior, discrete_prior, density_prior, posterior_drift
 from .solver import (
     Boundary,
     ValueSurface,
@@ -46,7 +36,6 @@ from .simulate import (
     comparison_report,
     everywhere_region,
     negative_drift_region,
-    region_exit_time,
     simulate_coupled,
     simulate_paths,
     value_lsmc,

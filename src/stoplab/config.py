@@ -22,12 +22,19 @@ from .checks import CHECKS
 
 # each drift family's drift as an expression template; its fields are the keys
 # the family needs, and a float is filled in by its repr, which parses back to
-# the same double.  The filtering template only names its key: that drift is
-# built from the prior (see pipeline.build_problem).
+# the same double.  The filtering template only names its key: its drift is
+# that prior's template in PRIORS.
 FAMILIES = {"bm_time_drift": "{mu_t}", "gbm": "x*({gamma_t})",
             "brownian_bridge": "({pin!r} - x)/(T - t)",
             "ou_time_mean": "{rate!r}*(({mean_t}) - x)", "filtering": "{prior}"}
-PRIORS = {"two_point": ("p", "low", "high"), "gaussian": ("prior_mean", "prior_var")}
+# each prior's drift: the posterior mean, given (t, x), of an unknown constant
+# drift with that prior.  The two-point posterior puts weight
+# logistic(u) = (1 + tanh(u/2))/2 on high, with
+# u = (high - low)(x - (high + low)t/2) - log(p/(1 - p)); tanh keeps the value
+# and its partials finite where the weight saturates.
+PRIORS = {"two_point": "({low!r} + {high!r})/2 + ({high!r} - {low!r})/2*tanh(({high!r} - {low!r})/2"
+                       "*(x - ({low!r} + {high!r})/2*t) - log({p!r}/(1 - {p!r}))/2)",
+          "gaussian": "({prior_mean!r} + {prior_var!r}*x)/(1 + {prior_var!r}*t)"}
 
 
 class ConfigError(ValueError):
@@ -266,22 +273,46 @@ def _validate(values: dict) -> None:
             raise ConfigError(f"{key} must not depend on {var}, got {prob[key]!r}")
     if not prob.get("horizon", 1.0) > 0:
         raise ConfigError(f"horizon must be positive, got {prob['horizon']}")
-    theta = values.get("grid", {}).get("theta", 0.5)
-    if not 0.0 <= theta <= 1.0:
-        raise ConfigError(f"theta must lie in [0, 1], got {theta}")
-    if "simulation" in values and "seed" not in values["simulation"]:
+    grid, sim = values.get("grid", {}), values.get("simulation", {})
+    horizon = prob.get("horizon", 1.0)
+    if not 0.0 <= grid.get("theta", 0.5) <= 1.0:
+        raise ConfigError(f"theta must lie in [0, 1], got {grid['theta']}")
+    if not grid.get("x_pad", 5.0) > 0:
+        raise ConfigError(f"x_pad must be positive, got {grid['x_pad']}")
+    if "simulation" in values and "seed" not in sim:
         raise ConfigError("section [simulation] requires an explicit seed (no entropy defaults)")
     for key, least in (("n_paths", 2), ("n_steps", 1), ("lsmc_degree", 0)):
-        if values.get("simulation", {}).get(key, least) < least:
-            raise ConfigError(f"{key} must be at least {least}, got {values['simulation'][key]}")
-    fam = prob.get("drift_family")
-    for _, key, _, _ in string.Formatter().parse(FAMILIES.get(fam, "")):
+        if sim.get(key, least) < least:
+            raise ConfigError(f"{key} must be at least {least}, got {sim[key]}")
+    if not 0.0 <= sim.get("lsmc_t", 0.0) < horizon:
+        raise ConfigError(f"lsmc_t must lie in [0, horizon) = [0, {horizon}), got {sim['lsmc_t']}")
+    for u, t, _ in sim.get("couplings", ()):
+        if not 0.0 <= u <= t < horizon:
+            raise ConfigError(f"couplings: each (u, t, x) needs 0 <= u <= t < horizon = {horizon}, "
+                              f"got u {u}, t {t}")
+    for _, key, _, _ in string.Formatter().parse(drift_template(prob)):
         if key and key not in prob:
-            raise ConfigError(f"drift_family {fam!r} requires key {key!r}")
-    if fam == "filtering":
-        for key in PRIORS[prob["prior"]]:
-            if key not in prob:
-                raise ConfigError(f"{prob['prior']} prior requires key {key!r}")
+            raise ConfigError(f"drift_family {prob['drift_family']!r} requires key {key!r}")
+    if not 0.0 < prob.get("p", 0.5) < 1.0:
+        raise ConfigError(f"p must lie in (0, 1), got {prob['p']}")
+    if not prob.get("low", -math.inf) < prob.get("high", math.inf):
+        raise ConfigError(f"low must be below high, got low {prob['low']}, high {prob['high']}")
+    if not prob.get("prior_var", 1.0) > 0:
+        raise ConfigError(f"prior_var must be positive, got {prob['prior_var']}")
+
+
+def drift_template(problem: dict) -> str:
+    """A problem's drift before its keys are filled in: the plain drift, the
+    family's template, or a filtering family's prior template.
+
+    ``problem`` maps key names to values; an unset key is absent or None.
+    """
+    fam = problem.get("drift_family")
+    if fam is None:
+        return problem["drift"]
+    if fam == "filtering" and problem.get("prior") is not None:
+        return PRIORS[problem["prior"]]
+    return FAMILIES[fam]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ FUNCTIONS = {
     "max": 2,
     "min": 2,
     "pow": 2,
+    "tanh": 1,
 }
 
 
@@ -293,6 +294,8 @@ def eval_expr(e: Expr, t: float, x: float, T: float) -> float:
             return math.sqrt(args[0])
         if e.func == "abs":
             return abs(args[0])
+        if e.func == "tanh":
+            return math.tanh(args[0])
         if e.func == "sign":  # internal, from diff
             return float(np.sign(args[0]))
         if e.func == "max":
@@ -307,7 +310,8 @@ def eval_expr(e: Expr, t: float, x: float, T: float) -> float:
 # builds it and ``parse`` does not accept it
 _NUMPY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
           "^": np.power, "pow": np.power, "max": np.maximum, "min": np.minimum,
-          "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "sign": np.sign}
+          "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "tanh": np.tanh,
+          "sign": np.sign}
 
 
 def compile_numpy(e: Expr):
@@ -383,8 +387,9 @@ def diff(e: Expr, var: str) -> Expr:
     ``var`` contributes nothing: ``x*sqrt(t)`` has x-derivative ``sqrt(t)``,
     finite at t = 0.  ``a^b`` (and ``pow``) gives ``b*a^(b-1)*a'``, plus
     ``a^b*log(a)*b'`` only when ``var`` is free in ``b``, so ``x^2`` stays
-    finite at x < 0.  ``abs``, ``max`` and ``min`` take a subgradient through
-    the internal ``sign`` node, with sign(0) = 0 and derivative 0:
+    finite at x < 0.  ``tanh(a)' = (1 - tanh(a)^2)*a'``, which stays finite
+    where tanh saturates.  ``abs``, ``max`` and ``min`` take a subgradient
+    through the internal ``sign`` node, with sign(0) = 0 and derivative 0:
     ``abs(a)' = sign(a)*a'`` and, with s = sign(a - b),
     ``max(a, b)' = ((1 + s)*a' + (1 - s)*b')/2`` (``min`` swaps the weights),
     so at a kink ``abs`` has slope 0 and ``max``/``min`` the mean of the two.
@@ -403,7 +408,8 @@ def diff(e: Expr, var: str) -> Expr:
         a, da = e.args[0], diff(e.args[0], var)
         if e.func in ("log", "sqrt"):
             return _mul(da, a if e.func == "log" else BinOp("*", Num(2.0), e), "/")
-        return _mul({"exp": e, "abs": Call("sign", (a,)), "sign": _ZERO}[e.func], da)
+        return _mul({"exp": e, "abs": Call("sign", (a,)), "sign": _ZERO,
+                     "tanh": BinOp("-", _ONE, BinOp("^", e, Num(2.0)))}[e.func], da)
     (a, b), op = (e.args, "^") if isinstance(e, Call) else ((e.left, e.right), e.op)
     da, db = diff(a, var), diff(b, var)
     if op in "+-":

@@ -19,9 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import filtering
 from .checks import CHECKS, CheckInputs
-from .config import FAMILIES, ProblemConfig, RunConfig, save_config_text
+from .config import ProblemConfig, RunConfig, drift_template, save_config_text
 from .fields import from_expression
 from .problems import (
     Orientation,
@@ -79,22 +78,14 @@ class RunArtifacts:
 def build_problem(cfg: ProblemConfig) -> ProblemSpec:
     """Materialize the coefficient fields described by a problem config.
 
-    A drift family's drift is its ``config.FAMILIES`` template filled in from
-    the config; the filtering family's is the posterior drift of its prior.
+    The drift is ``config.drift_template`` filled in from the config: the
+    plain drift, or the template of its family or prior.
     """
     horizon = cfg.horizon
-    fam = cfg.drift_family
-    if fam == "filtering":
-        if cfg.prior == "two_point":
-            prior = filtering.two_point_prior(cfg.p, cfg.low, cfg.high)
-        else:
-            prior = filtering.gaussian_prior(cfg.prior_mean, cfg.prior_var)
-        drift = filtering.filtering_drift(prior)
-    else:
-        text = cfg.drift if fam is None else FAMILIES[fam].format_map(vars(cfg))
-        drift = from_expression(text, horizon, role="drift")
+    text = drift_template(vars(cfg)).format_map(vars(cfg))
+    drift = from_expression(text, horizon, role="drift")
     pole = cfg.pole_at_horizon if cfg.pole_at_horizon is not None \
-        else (fam == "brownian_bridge")
+        else (cfg.drift_family == "brownian_bridge")
 
     sigma = from_expression(cfg.sigma, horizon, allow_t=False, role="sigma")
     terminal = from_expression(cfg.terminal, horizon, role="terminal")
@@ -125,14 +116,31 @@ def _stage(timings: dict[str, float], stage: str):
         timings[stage] = time.perf_counter() - t0
 
 
+def _reject_off_grid(cfg: RunConfig, lo: float, hi: float) -> None:
+    """Reject a start state that a configured check reads off the grid's x-range."""
+    sim = cfg.simulation
+    if sim is None:
+        return
+    points = []
+    if "coupling_order" in cfg.checks:
+        points += [("couplings", x) for _, _, x in sim.couplings]
+    if "lsmc_cross_check" in cfg.checks and sim.lsmc_x is not None:
+        points.append(("lsmc_x", sim.lsmc_x))
+    for key, x in points:
+        if not lo <= x <= hi:
+            raise ValueError(f"key {key!r}: x = {x!r} lies off the grid's x-range [{lo!r}, {hi!r}]")
+
+
 def prepare_problem(cfg: RunConfig, refine: int = 0, timings: Optional[dict[str, float]] = None
                     ) -> ValidatedProblem:
     """The set-up shared by ``solve`` and ``check``: stages build_problem, prepare, validate.
 
     Returns the problem on the user's axis, reduced to a running reward when
     the config asks, validated on its grid, with the grid's nt and nx
-    doubled ``refine`` times and the coefficients sampled once.  Any error
-    is raised as a StageError naming its stage.
+    doubled ``refine`` times and the coefficients sampled once.  Stage
+    prepare rejects an ``lsmc_x`` or coupling x off the grid's x-range when
+    ``lsmc_cross_check`` or ``coupling_order`` reads it.  Any error is raised
+    as a StageError naming its stage.
     """
     timings = {} if timings is None else timings
     grid_cfg = cfg.grid
@@ -144,6 +152,7 @@ def prepare_problem(cfg: RunConfig, refine: int = 0, timings: Optional[dict[str,
             spec = reduce_to_running_reward(spec)
         grid = build_grid(spec, grid_cfg.x_pad, grid_cfg.nt * 2 ** refine,
                           grid_cfg.nx * 2 ** refine, x_ref=grid_cfg.x_ref)
+        _reject_off_grid(cfg, float(grid.x_nodes[0]), float(grid.x_nodes[-1]))
 
     with _stage(timings, "validate"):
         return validate_problem(spec, grid)

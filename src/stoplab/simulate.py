@@ -225,15 +225,6 @@ def simulate_paths(problem: ValidatedProblem, t: float, x: float, n_paths: int,
                       seed=seed, scheme=scheme, poisoned=poisoned)
 
 
-def region_exit_time(path: np.ndarray, region: Region, t: float, dt: float) -> int:
-    """First step index at which (t + k*dt, path[k]) leaves the region."""
-    n_steps = len(path) - 1
-    times = t + dt * np.arange(n_steps + 1)
-    outside = ~np.asarray(region.indicator(times, path), dtype=bool)
-    hits = np.nonzero(outside)[0]
-    return int(hits[0]) if hits.size else n_steps
-
-
 def simulate_coupled(problem: ValidatedProblem, t: float, u: float, x: float,
                      region: Region, n_paths: int, n_steps: int, seed: int) -> CoupledBundle:
     """Couple the processes started at times u <= t from the same state x.

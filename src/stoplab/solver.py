@@ -55,7 +55,7 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SchemeMeta:
     theta: float
-    psor_sweeps: np.ndarray  # policy iterations per backward step, 0 when the warm start solves it
+    psor_sweeps: np.ndarray  # policy iterations per backward step
     psor_worst_residual: float
 
 
@@ -239,12 +239,15 @@ def _tridiag_solve(lower, diag, upper, rhs):
 def _howard(lower, diag, upper, rhs, psi, v0, where):
     """Policy iteration for the tridiagonal LCP min(v - psi, A v - rhs) = 0.
 
-    Starts from max(v0, psi), returned as is when it already solves the
-    problem to round-off.  Otherwise each iteration solves the linear system
-    of the current stop set (identity rows with v = psi) and its complement
-    (rows of A), then re-picks the stop set; a node changes side only when
-    the other choice wins by more than the round-off level ``tie``, so ties
-    cannot make the policy cycle.  On an M-matrix the iteration settles in at
+    Each iteration solves the linear system of the current stop set
+    (identity rows with v = psi) and its complement (rows of A), then
+    re-picks the stop set; a node changes side only when the other choice
+    wins by more than the round-off level ``tie``, so ties cannot make the
+    policy cycle.  The first stop set is picked at max(v0, psi) by the same
+    rule: a node starts on the continuation side only when continuation wins
+    there by more than ``tie``, so a warm start that already solves the
+    problem (v = psi everywhere for a martingale reward) comes back bit for
+    bit after one iteration.  On an M-matrix the iteration settles in at
     most n steps on the exact discrete solution (Bokanowski, Maroso & Zidani
     2009).  An outflow edge row (``_operator_coefficients``) is outside that
     proof, but the loop ends only on a solution of the LCP, and raises
@@ -253,10 +256,7 @@ def _howard(lower, diag, upper, rhs, psi, v0, where):
     tie = round_off(rhs)
     v = np.maximum(v0, psi)
     gap, slack = v - psi, _tridiag_apply(lower, diag, upper, v) - rhs
-    res = float(np.max(np.abs(np.minimum(gap, slack))))
-    if res <= tie:
-        return v, 0, res
-    stop = gap <= slack
+    stop = gap <= slack + tie
     for it in range(1, rhs.size + 2):
         v = _tridiag_solve(np.where(stop, 0.0, lower), np.where(stop, 1.0, diag),
                            np.where(stop, 0.0, upper), np.where(stop, psi, rhs))
@@ -440,13 +440,19 @@ def residual_complementarity(surface: ValueSurface):
 
 
 def value_at(surface: ValueSurface, t: float, x: float) -> float:
-    """Bilinear interpolation of the solved value at an off-grid point."""
+    """Bilinear interpolation of the solved value at a point of the grid's rectangle.
+
+    Raises ValueError on a point off it: the surface says nothing there, and
+    a clamped edge value would pass for one.
+    """
     ts, xs = surface.grid.t_nodes, surface.grid.x_nodes
+    if not (ts[0] <= t <= ts[-1] and xs[0] <= x <= xs[-1]):
+        raise ValueError(f"point (t={t!r}, x={x!r}) lies off the solved grid "
+                         f"[{ts[0]:.6g}, {ts[-1]:.6g}] x [{xs[0]:.6g}, {xs[-1]:.6g}]")
     k = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))
     j = int(np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2))
     wt = 0.0 if ts[k + 1] == ts[k] else (t - ts[k]) / (ts[k + 1] - ts[k])
     wx = 0.0 if xs[j + 1] == xs[j] else (x - xs[j]) / (xs[j + 1] - xs[j])
-    wt, wx = float(np.clip(wt, 0, 1)), float(np.clip(wx, 0, 1))
     v = surface.v
     return float(
         (1 - wt) * ((1 - wx) * v[k, j] + wx * v[k, j + 1])

@@ -63,6 +63,8 @@ def reference_eval(e: exprs.Expr, t: float, x: float, T: float) -> float:
         return math.sqrt(args[0])
     if e.func == "abs":
         return abs(args[0])
+    if e.func == "tanh":
+        return math.tanh(args[0])
     if e.func == "max":
         return max(args)
     if e.func == "min":

@@ -20,9 +20,8 @@ import pytest
 import stoplab as sl
 from stoplab import checks as ck
 from stoplab import exprs
-from stoplab.config import builtin_examples
-from stoplab.filtering import two_point_drift, two_point_drift_dt
-from stoplab.pipeline import run_problem
+from stoplab.config import ProblemConfig, builtin_examples
+from stoplab.pipeline import build_problem, run_problem
 from stoplab.problems import Orientation, StateSpace
 from stoplab.reports import FAIL, PASS
 from stoplab.simulate import coupling_statistic, negative_drift_region
@@ -297,30 +296,36 @@ def test_criterion_6_boundary_scaling(flipped_bridge_solves):
 # ---------------------------------------------------------------------------
 
 
+def _two_point(p, lo, hi):
+    """The two-point filtering drift as the pipeline builds it: its prior's template."""
+    return build_problem(ProblemConfig(drift_family="filtering", prior="two_point",
+                                       p=p, low=lo, high=hi)).drift
+
+
 def test_criterion_7_two_point_sign_law():
     """d/dt of the two-point posterior drift: nonpositive when the high
     support point dominates in magnitude, positive somewhere otherwise, and
-    the closed form matches a central finite difference."""
+    the exact partial matches a central finite difference."""
     ts = np.linspace(0.0, 1.0, 50)
     xs = np.linspace(-3.0, 3.0, 50)
     tt, xx = np.meshgrid(ts, xs, indexing="ij")
     for lo, hi in ((-1.0, 1.0), (-1.0, 2.0), (0.0 + 1e-9, 1.0)):
-        vals = two_point_drift_dt(0.5, lo, hi, tt, xx)
+        vals = _two_point(0.5, lo, hi).partial_t(tt, xx)
         assert np.all(vals <= 0.0), (lo, hi)
-    vals = two_point_drift_dt(0.5, -2.0, 1.0, tt, xx)
+    vals = _two_point(0.5, -2.0, 1.0).partial_t(tt, xx)
     assert np.any(vals > 0.0)
 
     h = 1e-6
     for p, lo, hi in ((0.5, -1.0, 2.0), (0.3, 0.5, 1.5), (0.7, -2.0, 1.0)):
-        closed = two_point_drift_dt(p, lo, hi, tt, xx)
-        fd = (two_point_drift(p, lo, hi, tt + h, xx)
-              - two_point_drift(p, lo, hi, tt - h, xx)) / (2.0 * h)
+        drift = _two_point(p, lo, hi)
+        closed = drift.partial_t(tt, xx)
+        fd = (drift(tt + h, xx) - drift(tt - h, xx)) / (2.0 * h)
         rel = np.abs(closed - fd) / np.abs(closed)
         assert float(np.max(rel)) <= 1e-5
     # the symmetric case is identically zero; the finite difference confirms
-    closed = two_point_drift_dt(0.5, -1.0, 1.0, tt, xx)
-    fd = (two_point_drift(0.5, -1.0, 1.0, tt + h, xx)
-          - two_point_drift(0.5, -1.0, 1.0, tt - h, xx)) / (2.0 * h)
+    drift = _two_point(0.5, -1.0, 1.0)
+    closed = drift.partial_t(tt, xx)
+    fd = (drift(tt + h, xx) - drift(tt - h, xx)) / (2.0 * h)
     assert np.all(closed == 0.0) and float(np.max(np.abs(fd))) < 1e-9
     _ok("criterion 7 two-point sign law")
 

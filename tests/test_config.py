@@ -5,8 +5,9 @@ import os
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from stoplab import exprs
 from stoplab.checks import CHECKS
 from stoplab.config import (
     KEYS,
@@ -22,8 +23,8 @@ from stoplab.config import (
     save_config,
     save_config_text,
 )
-from stoplab.filtering import two_point_drift
-from stoplab.pipeline import build_problem
+from stoplab.filtering import discrete_prior, posterior_drift
+from stoplab.pipeline import StageError, build_problem, prepare_problem
 
 MINIMAL = """
 [problem]
@@ -104,6 +105,53 @@ def test_bad_simulation_count_rejected(key, value):
         loads_config(text)
 
 
+FILTERING = MINIMAL.replace('drift = "0"', "drift_family = filtering\nprior = two_point\n"
+                            "p = 0.5\nlow = -1.0\nhigh = 2.0\nprior_mean = 0.0\nprior_var = 1.0")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("p", "0.0", "p must lie in"), ("p", "1.0", "p must lie in"), ("p", "-0.5", "p must lie in"),
+    ("low", "2.0", "low must be below high"), ("high", "-3.0", "low must be below high"),
+    ("prior_var", "0.0", "prior_var must be positive"),
+    ("prior_var", "-1.0", "prior_var must be positive"),
+])
+def test_bad_prior_parameter_rejected(key, value, message):
+    assert loads_config(FILTERING).problem.p == 0.5
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", FILTERING, flags=re.M)
+    with pytest.raises(ConfigError, match=message):
+        loads_config(text)
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("lsmc_t = -1.0", "lsmc_t must lie in"), ("lsmc_t = 1.0", "lsmc_t must lie in"),
+    ("lsmc_t = 2.0", "lsmc_t must lie in"),
+    ("couplings = 0.25 1.0 1.0", "couplings"), ("couplings = -0.1 0.5 1.0", "couplings"),
+    ("couplings = 0.1 0.3 0.0 ; 0.5 0.25 1.0", "couplings"),   # u > t
+])
+def test_simulation_time_off_the_horizon_rejected(lines, message):
+    with pytest.raises(ConfigError, match=message):
+        loads_config(MINIMAL.replace("seed = 42", f"seed = 42\n{lines}"))
+
+
+@pytest.mark.parametrize("value", ["0.0", "-1.0"])
+def test_non_positive_x_pad_rejected(value):
+    with pytest.raises(ConfigError, match="x_pad must be positive"):
+        loads_config(MINIMAL.replace("nx = 100", f"nx = 100\nx_pad = {value}"))
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("lsmc = true\nlsmc_x = 40.0\n[checks]\nrun = lsmc_cross_check", "lsmc_x"),
+    ("couplings = 0.25 0.5 1.0 ; 0.25 0.5 -6.0\n[checks]\nrun = coupling_order", "couplings"),
+])
+def test_start_state_off_the_grid_rejected_at_prepare(lines, key):
+    cfg = loads_config(MINIMAL.replace("seed = 42", f"seed = 42\n{lines}"))
+    with pytest.raises(StageError, match=f"key '{key}'") as err:
+        prepare_problem(cfg)
+    assert err.value.stage == "prepare"
+    # a point that no configured check reads is left alone
+    prepare_problem(dataclasses.replace(cfg, checks=()))
+
+
 def test_bad_expression_reports_offset():
     with pytest.raises(ConfigError, match="offset"):
         loads_config(MINIMAL.replace('drift = "0"', 'drift = "x +"'))
@@ -141,8 +189,11 @@ def test_builtin_gallery_contents():
 
 def test_two_point_example_wires_closed_form():
     cfg = builtin_examples()["two_point_filtering"]
-    spec = build_problem(cfg.problem)
-    assert spec.drift(0.0, 0.0) == two_point_drift(0.5, -1.0, 2.0, 0.0, 0.0)
+    drift = build_problem(cfg.problem).drift
+    prior = discrete_prior([(0.5, -1.0), (0.5, 2.0)])
+    for t, x in ((0.0, 0.0), (0.5, -2.0), (0.9, 3.0)):
+        assert drift(t, x) == pytest.approx(posterior_drift(prior, t, x), abs=1e-14)
+    assert drift.partial_t is not None and drift.partial_x is not None
 
 
 def test_builtin_examples_roundtrip(tmp_path):
@@ -176,6 +227,7 @@ def test_lsmc_off_start_point_roundtrips():
 # round trip of every valid config through its canonical text
 
 _FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_TIME = st.floats(0.0, 1.0, exclude_max=True)   # in [0, horizon) at the default horizon
 _T_ONLY = st.sampled_from(["1 - t", "exp(-t)", "t^2 - T", "0.5"])
 _ANY_EXPR = st.sampled_from(["x", "exp(x)", "t*x - 1", "-x/(T - t)", "max(x, 0)"])
 
@@ -186,15 +238,17 @@ _OPTIONAL = {
         "drift": _ANY_EXPR, "drift_family": st.sampled_from(
             ["bm_time_drift", "gbm", "brownian_bridge", "ou_time_mean", "filtering"]),
         "mu_t": _T_ONLY, "gamma_t": _T_ONLY, "mean_t": _T_ONLY,
-        "pin": _FLOAT, "rate": _FLOAT, "p": _FLOAT, "low": _FLOAT, "high": _FLOAT,
-        "prior_mean": _FLOAT, "prior_var": _FLOAT,
+        "pin": _FLOAT, "rate": _FLOAT, "low": _FLOAT, "high": _FLOAT, "prior_mean": _FLOAT,
+        "p": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        "prior_var": st.floats(0.0, exclude_min=True, allow_infinity=False),
         "prior": st.sampled_from(["two_point", "gaussian"]),
         "running": _ANY_EXPR, "reduce": st.booleans(), "pole_at_horizon": st.booleans(),
     },
     "grid": {"x_ref": _FLOAT},
     "simulation": {
-        "couplings": st.lists(st.tuples(_FLOAT, _FLOAT, _FLOAT), min_size=1, max_size=2).map(tuple),
-        "lsmc": st.booleans(), "lsmc_degree": st.integers(0, 9), "lsmc_t": _FLOAT,
+        "couplings": st.lists(st.tuples(_TIME, _TIME, _FLOAT).map(
+            lambda c: (min(c[:2]), max(c[:2]), c[2])), min_size=1, max_size=2).map(tuple),
+        "lsmc": st.booleans(), "lsmc_degree": st.integers(0, 9), "lsmc_t": _TIME,
         "lsmc_x": _FLOAT, "dump_paths": st.booleans(), "c_ord": _FLOAT,
     },
     "checks": {"checks": st.lists(st.sampled_from(sorted(CHECKS)), min_size=1, max_size=3).map(tuple)},
@@ -241,6 +295,9 @@ def _valid_configs(draw):
     require(prob.get("drift_family"))
     if prob.get("drift_family") == "filtering":
         require(prob["prior"])
+    if "low" in prob and "high" in prob:
+        prob["low"], prob["high"] = sorted((prob["low"], prob["high"]))
+        assume(prob["low"] < prob["high"])
     simulation = SimulationConfig(**parts["simulation"]) if draw(st.booleans()) else None
     return RunConfig(name="config", problem=ProblemConfig(**prob), grid=GridConfig(**parts["grid"]),
                      simulation=simulation, checks=parts["checks"].get("checks", ()))
@@ -273,3 +330,9 @@ def test_readme_config_block_names_every_key():
     for key in KEYS:
         declared.setdefault(key.section, []).append(key.name)
     assert {s: sorted(k) for s, k in documented.items()} == {s: sorted(k) for s, k in declared.items()}
+
+
+def test_readme_function_list_is_the_parser_function_list():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    listed = re.search(r"unary minus,\s+and\s+`([a-z\s]+)`", readme.split("## Config format", 1)[1])
+    assert sorted(listed.group(1).split()) == sorted(exprs.FUNCTIONS)

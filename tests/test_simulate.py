@@ -36,6 +36,16 @@ def _problem(drift="0", sigma="1", terminal="x", horizon=1.0, **kw):
     return sl.validate_problem(spec, grid)
 
 
+def region_exit_time(path: np.ndarray, region: sl.Region, t: float, dt: float) -> int:
+    """First step index at which (t + k*dt, path[k]) leaves the region: the
+    per-path oracle for the blocked ``_exit_steps``."""
+    n_steps = len(path) - 1
+    times = t + dt * np.arange(n_steps + 1)
+    outside = ~np.asarray(region.indicator(times, path), dtype=bool)
+    hits = np.nonzero(outside)[0]
+    return int(hits[0]) if hits.size else n_steps
+
+
 def _euler_path_major(problem, bundle, z):
     """Reference Euler loop on a path-major (n_paths, n_steps + 1) table, one
     column per step, freezing a path at its last finite state."""
@@ -307,18 +317,18 @@ class TestPipeline:
 class TestRegionExit:
     def test_everywhere_never_exits(self):
         path = np.linspace(0, 1, 11)
-        assert sl.region_exit_time(path, everywhere_region(), 0.0, 0.1) == 10
+        assert region_exit_time(path, everywhere_region(), 0.0, 0.1) == 10
 
     def test_start_outside_is_zero(self):
         region = sl.Region(indicator=lambda t, x: np.asarray(x) > 0)
         path = np.array([-1.0, 1.0, 1.0])
-        assert sl.region_exit_time(path, region, 0.0, 0.1) == 0
+        assert region_exit_time(path, region, 0.0, 0.1) == 0
 
     def test_crossing_detected_at_step(self):
         region = sl.Region(indicator=lambda t, x: np.asarray(x) > 0)
         path = np.ones(11)
         path[7:] = -1.0
-        assert sl.region_exit_time(path, region, 0.0, 0.1) == 7
+        assert region_exit_time(path, region, 0.0, 0.1) == 7
 
 
 class TestCoupling:
@@ -354,7 +364,7 @@ class TestCoupling:
 
     def test_region_exit_equals_per_path_exit_time(self):
         cb = _bridge_coupling()
-        expect = [sl.region_exit_time(path, cb.region, 0.5, cb.late.dt)
+        expect = [region_exit_time(path, cb.region, 0.5, cb.late.dt)
                   for path in cb.late.states]
         assert np.array_equal(cb.region_exit, expect)
         assert (cb.region_exit < 127).any() and (cb.region_exit == 127).any()

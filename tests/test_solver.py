@@ -331,7 +331,19 @@ class TestResidualAndConvergence:
             v[k], iterations[k], _ = _howard(lower, diag, upper, rhs, psi[k], v[k + 1], "ref")
         assert np.array_equal(surf.v, v)
         assert np.array_equal(surf.meta.psor_sweeps, iterations)
-        assert iterations.any()   # the stop set moves, so the solves are not all warm starts
+        assert (iterations > 1).any()   # the stop set moves, so some step re-picks it
+
+    def test_value_at_interpolates_on_the_grid_and_raises_off_it(self):
+        surf = _running_reward_surface(STEP_BLOCK)
+        ts, xs = surf.grid.t_nodes, surf.grid.x_nodes
+        assert sl.value_at(surf, ts[0], xs[0]) == surf.v[0, 0]
+        assert sl.value_at(surf, ts[-1], xs[-1]) == surf.v[-1, -1]
+        mid = sl.value_at(surf, (ts[2] + ts[3]) / 2, xs[5])
+        assert mid == pytest.approx((surf.v[2, 5] + surf.v[3, 5]) / 2, rel=1e-12)
+        for t, x in ((-1.0, 0.0), (ts[-1] + 1e-9, 0.0), (0.0, xs[0] - 1e-9),
+                     (0.0, 40.0), (float("nan"), 0.0)):
+            with pytest.raises(ValueError, match="off the solved grid"):
+                sl.value_at(surf, t, x)
 
     @pytest.mark.parametrize("nt", BLOCK_EDGES)
     def test_one_coefficient_build_per_block(self, nt, monkeypatch):
