@@ -22,7 +22,7 @@ roots of out-of-domain arguments raise :class:`ExprDomainError` carrying the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -362,6 +362,19 @@ def free_variables(e: Expr) -> set[str]:
     return set()
 
 
+def substitute(e: Expr, name: str, by: Expr) -> Expr:
+    """``e`` with every occurrence of the variable ``name`` replaced by ``by``."""
+    if isinstance(e, Var):
+        return by if e.name == name else e
+    if isinstance(e, Neg):
+        return replace(e, operand=substitute(e.operand, name, by))
+    if isinstance(e, BinOp):
+        return replace(e, left=substitute(e.left, name, by), right=substitute(e.right, name, by))
+    if isinstance(e, Call):
+        return replace(e, args=tuple(substitute(a, name, by) for a in e.args))
+    return e
+
+
 # ---------------------------------------------------------------------------
 # differentiation; _sum builds + and - nodes, _mul * and /, folding zeros and ones
 
@@ -439,7 +452,12 @@ def _prec(e: Expr) -> int:
 
 
 def to_string(e: Expr) -> str:
-    """Print with minimal parentheses; parse(to_string(e)) == e structurally."""
+    """Print with minimal parentheses.
+
+    ``parse(to_string(e)) == e`` structurally for a parsed ``e`` with finite
+    numbers.  A ``diff`` result may hold the internal ``sign`` node, which
+    prints but does not parse back, so printed ASTs are for reading only.
+    """
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Var):

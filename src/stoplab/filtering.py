@@ -16,7 +16,6 @@ those drifts have exact partials like every other config drift.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -33,21 +32,15 @@ class NumericalError(ArithmeticError):
     pass
 
 
-class PriorKind(enum.Enum):
-    DISCRETE = "discrete"
-    DENSITY = "density"
-
-
 @dataclass(frozen=True)
 class Prior:
     """Prior distribution of the unknown drift variable.
 
-    ``atoms`` holds (weight, location) pairs; for the density kind they are
+    ``atoms`` holds (weight, location) pairs; for a density they are
     quadrature weights and nodes.  ``link`` is the function applied to the
     unknown before it enters the drift; identity by default.
     """
 
-    kind: PriorKind
     atoms: tuple[tuple[float, float], ...] = ()
     link: Optional[Callable[[np.ndarray], np.ndarray]] = None
     warnings: tuple[str, ...] = field(default=(), compare=False)
@@ -78,12 +71,12 @@ class Prior:
 
 
 def discrete_prior(atoms, link=None) -> Prior:
-    return Prior(kind=PriorKind.DISCRETE, atoms=tuple(atoms), link=link)
+    return Prior(atoms=tuple(atoms), link=link)
 
 
 def density_prior(weights, locations, link=None) -> Prior:
     atoms = tuple(zip((float(w) for w in weights), (float(y) for y in locations)))
-    return Prior(kind=PriorKind.DENSITY, atoms=atoms, link=link)
+    return Prior(atoms=atoms, link=link)
 
 
 def posterior_drift(prior: Prior, t, x):

@@ -303,8 +303,21 @@ def export_paths_csv(bundle, directory: str) -> str:
 
 
 def export_artifacts(artifacts: RunArtifacts, directory: str, bundles=None) -> dict[str, str]:
+    """Write every artifact, reports.json and summary.txt last: they carry the
+    export time spent before them (the CSVs and config.cfg)."""
+    t0 = time.perf_counter()
     os.makedirs(directory, exist_ok=True)
     files = export_surface(artifacts.surface, artifacts.boundary, directory)
+
+    config_path = os.path.join(directory, "config.cfg")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        fh.write(save_config_text(artifacts.config))
+    files["config"] = config_path
+
+    if bundles:
+        for bundle in bundles.values():
+            files["paths"] = export_paths_csv(bundle, directory)
+    artifacts.timings["export"] = time.perf_counter() - t0
 
     report_doc = {
         "run_id": artifacts.run_id,
@@ -322,15 +335,6 @@ def export_artifacts(artifacts: RunArtifacts, directory: str, bundles=None) -> d
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(summary_text(artifacts))
     files["summary"] = summary_path
-
-    config_path = os.path.join(directory, "config.cfg")
-    with open(config_path, "w", encoding="utf-8") as fh:
-        fh.write(save_config_text(artifacts.config))
-    files["config"] = config_path
-
-    if bundles:
-        for bundle in bundles.values():
-            files["paths"] = export_paths_csv(bundle, directory)
     return files
 
 

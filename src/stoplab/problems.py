@@ -9,7 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import ScalarField, constant_field, from_callable
+from .exprs import BinOp, Expr, Neg, Num, Var, diff, substitute
+from .fields import ScalarField, constant_field, from_ast
 from .grids import Grid
 
 
@@ -175,56 +176,39 @@ def reflect_problem(problem: ValidatedProblem, spec: ProblemSpec, grid: Grid) ->
     return replace(problem, spec=spec, disc=disc)
 
 
+def _expression(field: ScalarField, role: str, error: type) -> Expr:
+    """The field's AST; a callable field has none and raises ``error`` naming ``role``."""
+    if field.ast is None:
+        raise error(f"{role} {field.source or '<callable>'} is a callable field, "
+                    "not an expression, and cannot be rewritten")
+    return field.ast
+
+
 def flip_orientation(spec: ProblemSpec) -> ProblemSpec:
     """Reflect the state axis, swapping upper- and lower-boundary problems.
 
     The reflected problem has drift -mu(t, -x), diffusion sigma(-x) and
-    rewards evaluated at -x; solving it and negating the boundary recovers
-    the original one.  Applying the reflection twice is the identity on
-    evaluator values.
+    rewards evaluated at -x, each the field's AST with -x put in place of x;
+    solving it and negating the boundary recovers the original one.  Every
+    field must be an expression (a callable is an OrientationError naming
+    it).  Applying the reflection twice is the identity on evaluator values.
     """
     if spec.state_space is not StateSpace.REAL_LINE:
         raise OrientationError("orientation can only be flipped on the real line")
 
-    mu, sig, g, f = spec.drift, spec.diffusion, spec.terminal_reward, spec.running_reward
-
-    def wrap_neg(field):  # h~(t, x) = -h(t, -x)
-        return lambda t, x: -field(t, -np.asarray(x, dtype=float))
-
-    def wrap_ref(field):  # h~(t, x) = h(t, -x)
-        return lambda t, x: field(t, -np.asarray(x, dtype=float))
-
-    new_drift = from_callable(
-        wrap_neg(mu.evaluator),
-        source=f"reflected({mu.source})",
-        time_independent=mu.time_independent,
-        partial_t=wrap_neg(mu.partial_t) if mu.partial_t else None,
-        partial_x=wrap_ref(mu.partial_x) if mu.partial_x else None,
-    )
-    new_sigma = from_callable(
-        wrap_ref(sig.evaluator),
-        source=f"reflected({sig.source})",
-        time_independent=True,
-    )
-
-    def wrap_reward(field):
+    def reflected(field, role, negate=False):
         if field is None:
             return None
-        return from_callable(
-            wrap_ref(field.evaluator),
-            source=f"reflected({field.source})",
-            time_independent=field.time_independent,
-            partial_t=wrap_ref(field.partial_t) if field.partial_t else None,
-            partial_x=wrap_neg(field.partial_x) if field.partial_x else None,
-            partial_xx=wrap_ref(field.partial_xx) if field.partial_xx else None,
-        )
+        ast = substitute(_expression(field, role, OrientationError), "x", Neg(Var("x")))
+        return from_ast(Neg(ast) if negate else ast, field.horizon,
+                        f"reflected({field.source})")
 
     return replace(
         spec,
-        drift=new_drift,
-        diffusion=new_sigma,
-        terminal_reward=wrap_reward(g),
-        running_reward=wrap_reward(f),
+        drift=reflected(spec.drift, "drift", negate=True),
+        diffusion=reflected(spec.diffusion, "diffusion"),
+        terminal_reward=reflected(spec.terminal_reward, "terminal reward"),
+        running_reward=reflected(spec.running_reward, "running reward"),
         orientation=(
             Orientation.LOWER if spec.orientation is Orientation.UPPER else Orientation.UPPER
         ),
@@ -235,37 +219,40 @@ def flip_orientation(spec: ProblemSpec) -> ProblemSpec:
 def reduce_to_running_reward(spec: ProblemSpec) -> ProblemSpec:
     """Rewrite a terminal-reward problem in pure running-reward form.
 
-    The new running reward is f + (d/dt + mu d/dx + sigma^2/2 d/dx2) applied
-    to the terminal reward; the new terminal reward is zero.  The value of
-    the reduced problem equals the original value minus the terminal reward,
-    pointwise, up to solver tolerance.  The generator reads the terminal
-    reward's declared partials: exact for an expression reward, required
-    of a callable one (a missing partial is a ReductionError naming it).
+    The new running reward is h = g_t + mu*g_x + 0.5*sigma*sigma*g_xx (+ f),
+    built as one AST from the fields' ASTs and the exact partials of the
+    terminal reward g (``exprs.diff``), in that order of operations; sigma
+    is read at t = 0 and each field keeps its own horizon for T.  The new
+    terminal reward is zero.  The value of the reduced problem equals the
+    original value minus the terminal reward, pointwise, up to solver
+    tolerance.  Every field must be an expression (a callable is a
+    ReductionError naming it), and h must be finite at nine probe points.
     """
+    T = spec.horizon
+
+    def expression(field, role):
+        ast = _expression(field, role, ReductionError)
+        if field.horizon is None or field.horizon == T:
+            return ast
+        return substitute(ast, "T", Num(field.horizon))
+
     g = spec.terminal_reward
-    mu = spec.drift
-    sig = spec.diffusion
-    f = spec.running_reward
-    for name in ("partial_t", "partial_x", "partial_xx"):
-        if getattr(g, name) is None:
-            raise ReductionError(f"terminal reward {g.source or '<callable>'} declares no {name}")
+    g_ast = expression(g, "terminal reward")
+    mu = expression(spec.drift, "drift")
+    s = substitute(expression(spec.diffusion, "diffusion"), "t", Num(0.0))
+    g_x = diff(g_ast, "x")
+    h_ast = BinOp("+", BinOp("+", diff(g_ast, "t"), BinOp("*", mu, g_x)),
+                  BinOp("*", BinOp("*", BinOp("*", Num(0.5), s), s), diff(g_x, "x")))
+    if spec.running_reward is not None:
+        h_ast = BinOp("+", h_ast, expression(spec.running_reward, "running reward"))
+    h = from_ast(h_ast, T, f"generator_of({g.source})")
 
-    def h_eval(t, x):
-        s = sig(0.0, x)
-        out = g.partial_t(t, x) + mu(t, x) * g.partial_x(t, x) + 0.5 * s * s * g.partial_xx(t, x)
-        if f is not None:
-            out = out + f(t, x)
-        return out
-
-    h = from_callable(h_eval, source=f"generator_of({g.source})" if g.source
-                      else "generator_reduced")
-
-    t_hi = spec.horizon * (0.999 if spec.pole_at_horizon else 1.0)
+    t_hi = T * (0.999 if spec.pole_at_horizon else 1.0)
     xs = (0.5, 1.0, 2.0) if spec.state_space is StateSpace.POSITIVE_HALF_LINE else (-1.0, 0.0, 1.0)
     for t, x in itertools.product((0.0, 0.5 * t_hi, t_hi), xs):
         try:
             with np.errstate(all="ignore"):
-                val = h_eval(t, x)
+                val = h(t, x)
         except Exception as err:
             raise ReductionError(
                 f"reduced running reward failed at probe point (t={t}, x={x}): {err}"

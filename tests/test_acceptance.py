@@ -333,15 +333,8 @@ def test_criterion_7_two_point_sign_law():
 def test_criterion_8_reduction_coherence():
     """g(t,x) = x^2, mu = 0, sigma = 1: the reduced running reward is exactly
     one, and the direct solve equals reward plus reduced solve nodewise."""
-    g = sl.from_callable(
-        lambda t, x: np.asarray(x, float) ** 2,
-        partial_t=lambda t, x: 0.0 * np.asarray(x, float),
-        partial_x=lambda t, x: 2.0 * np.asarray(x, float),
-        partial_xx=lambda t, x: 2.0 + 0.0 * np.asarray(x, float),
-        time_independent=True, source="x^2",
-    )
     direct = sl.ProblemSpec(drift=sl.constant_field(0.0), diffusion=sl.constant_field(1.0),
-                            terminal_reward=g, horizon=1.0)
+                            terminal_reward=sl.from_expression("x^2", 1.0), horizon=1.0)
     reduced = sl.reduce_to_running_reward(direct)
     for t in (0.0, 0.37, 0.9):
         for x in (-2.0, 0.0, 1.3):

@@ -309,16 +309,9 @@ class TestTheoremPipelines:
 
     def test_reduced_problem_pipeline(self):
         # terminal x with drift 1 - t reduces to running reward h = 1 - t;
-        # declared partials keep h free of finite-difference noise
-        g = sl.from_callable(
-            lambda t, x: np.asarray(x, float),
-            partial_t=lambda t, x: 0.0 * np.asarray(x, float),
-            partial_x=lambda t, x: 1.0 + 0.0 * np.asarray(x, float),
-            partial_xx=lambda t, x: 0.0 * np.asarray(x, float),
-            time_independent=True,
-        )
+        # the exact partials of g keep h free of finite-difference noise
         spec = sl.ProblemSpec(drift=_field("1 - t"), diffusion=sl.constant_field(1.0),
-                              terminal_reward=g, horizon=1.0)
+                              terminal_reward=_field("x"), horizon=1.0)
         reduced = sl.reduce_to_running_reward(spec)
         grid = sl.build_grid(reduced, 5.0, 80, 80, x_ref=0.0)
         surf = sl.solve_backward(sl.validate_problem(reduced, grid), grid)

@@ -196,6 +196,23 @@ def test_two_point_example_wires_closed_form():
     assert drift.partial_t is not None and drift.partial_x is not None
 
 
+def test_affine_drifts_fold_to_zero_curvature():
+    # d2mu/dx2 of an affine-in-x drift folds to the literal 0 in the AST, with
+    # no evaluation; the two-point posterior's tanh is not affine
+    gallery = builtin_examples()
+    drifts = {name: build_problem(gallery[name].problem).drift
+              for name in ("bm_time_drift", "gbm_time_drift", "brownian_bridge_exp",
+                           "brownian_bridge_linear_flipped", "ou_time_mean",
+                           "two_point_filtering")}
+    drifts["gaussian"] = build_problem(ProblemConfig(drift_family="filtering", prior="gaussian",
+                                                     prior_mean=0.5, prior_var=2.0)).drift
+    zero = exprs.Num(0.0)
+    curvature = {name: exprs.diff(exprs.diff(d.ast, "x"), "x") for name, d in drifts.items()}
+    assert {name for name, c in curvature.items() if c != zero} == {"two_point_filtering"}
+    sigma = build_problem(ProblemConfig(drift="0")).diffusion
+    assert exprs.to_string(sigma.ast) == "1.0" and exprs.diff(sigma.ast, "x") == zero
+
+
 def test_builtin_examples_roundtrip(tmp_path):
     for name, cfg in builtin_examples().items():
         path = tmp_path / f"{name}.cfg"

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 import stoplab as sl
+from stoplab.config import builtin_examples
+from stoplab.pipeline import build_problem
 from stoplab.problems import (
     Orientation,
     OrientationError,
     ReductionError,
     StateSpace,
     ValidationError,
+    discretize,
 )
 
 
@@ -112,6 +115,29 @@ class TestFlip:
         with pytest.raises(OrientationError):
             sl.flip_orientation(spec)
 
+    def test_callable_field_rejected(self):
+        spec = replace(_spec(orientation=Orientation.UPPER),
+                       drift=sl.from_callable(lambda t, x: 0.0 * x, source="zero"))
+        with pytest.raises(OrientationError, match="drift zero is a callable field"):
+            sl.flip_orientation(spec)
+
+    @pytest.mark.parametrize("name", ["bm_time_drift", "brownian_bridge_exp",
+                                      "brownian_bridge_linear_flipped", "two_point_filtering",
+                                      "ou_time_mean"])
+    def test_flipped_samples_equal_mirrored_samples(self, name):
+        # the reflected fields on the grid are the originals on the mirrored
+        # nodes, the drift negated, bit for bit: what reflect_problem relies on
+        cfg = builtin_examples()[name]
+        spec = build_problem(cfg.problem)
+        grid = sl.build_grid(spec, cfg.grid.x_pad, cfg.grid.nt, cfg.grid.nx, x_ref=cfg.grid.x_ref)
+        flipped = discretize(sl.flip_orientation(spec), grid)
+        mirrored = discretize(spec, replace(grid, x_nodes=-grid.x_nodes[::-1]))
+        assert (grid.nt, grid.nx) == (400, 400)
+        for got, want in ((flipped.mu, -mirrored.mu[:, ::-1]),
+                          (flipped.sigma, mirrored.sigma[::-1]), (flipped.g, mirrored.g[:, ::-1])):
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+        assert flipped.f is None and mirrored.f is None
+
 
 class TestReduce:
     def test_linear_reward_gives_drift(self):
@@ -123,16 +149,9 @@ class TestReduce:
             for x in (-1.0, 0.0, 2.0):
                 assert reduced.running_reward(t, x) == 1 - t
 
-    def test_quadratic_reward_exact_with_declared_partials(self):
-        g = sl.from_callable(
-            lambda t, x: np.asarray(x, float) ** 2,
-            partial_t=lambda t, x: 0.0 * np.asarray(x, float),
-            partial_x=lambda t, x: 2.0 * np.asarray(x, float),
-            partial_xx=lambda t, x: 2.0 + 0.0 * np.asarray(x, float),
-            time_independent=True,
-        )
+    def test_quadratic_reward_exact(self):
         spec = sl.ProblemSpec(drift=sl.constant_field(0.0), diffusion=sl.constant_field(1.0),
-                              terminal_reward=g, horizon=1.0)
+                              terminal_reward=sl.from_expression("x^2", 1.0), horizon=1.0)
         reduced = sl.reduce_to_running_reward(spec)
         for t in (0.0, 0.5):
             for x in (-2.0, 0.0, 3.0):
@@ -152,14 +171,8 @@ class TestReduce:
                 expect = np.exp(x) * (-x / (1.0 - t) + 0.5 * 0.25)
                 assert float(reduced.running_reward(t, x)) == pytest.approx(expect, rel=1e-12)
 
-    def test_generator_identity_with_declared_partials(self):
-        g = sl.from_callable(
-            lambda t, x: np.sin(x),
-            partial_t=lambda t, x: 0.0 * np.asarray(x, float),
-            partial_x=lambda t, x: np.cos(x),
-            partial_xx=lambda t, x: -np.sin(x),
-            time_independent=True,
-        )
+    def test_generator_identity(self):
+        g = sl.from_expression("tanh(x)", 1.0)
         f = sl.from_expression("t*x", 1.0)
         spec = sl.ProblemSpec(drift=sl.from_expression("x - t", 1.0),
                               diffusion=sl.from_expression("1 + x*x/10", 1.0, allow_t=False),
@@ -169,29 +182,33 @@ class TestReduce:
             for x in (-1.5, 0.3, 2.0):
                 mu = x - t
                 s2 = (1 + x * x / 10) ** 2
-                expect = t * x + mu * np.cos(x) + 0.5 * s2 * (-np.sin(x))
+                th = np.tanh(x)
+                expect = t * x + mu * (1 - th * th) + 0.5 * s2 * (-2.0 * th * (1 - th * th))
                 assert float(reduced.running_reward(t, x)) == pytest.approx(expect, rel=1e-12)
 
     def test_nonfinite_partial_rejected(self):
-        # log|x| has partials 1/x and -1/x^2, infinite at the probe x = 0
-        g = sl.from_callable(
-            lambda t, x: np.log(np.abs(np.asarray(x, float))),
-            partial_t=lambda t, x: 0.0 * np.asarray(x, float),
-            partial_x=lambda t, x: 1.0 / np.asarray(x, float),
-            partial_xx=lambda t, x: -1.0 / np.asarray(x, float) ** 2,
-        )
+        # log|x| has partials sign(x)/|x| and -sign(x)^2/x^2, not finite at the probe x = 0
+        g = sl.from_expression("log(abs(x))", 1.0)
         spec = sl.ProblemSpec(drift=sl.constant_field(0.0), diffusion=sl.constant_field(1.0),
                               terminal_reward=g, horizon=1.0)
         with pytest.raises(ReductionError, match="x=0.0"):
             sl.reduce_to_running_reward(spec)
 
-    def test_missing_partial_named(self):
-        g = sl.from_callable(lambda t, x: np.sin(x), source="sin(x)",
-                             partial_x=lambda t, x: np.cos(x))
+    def test_callable_reward_rejected(self):
+        g = sl.from_callable(lambda t, x: np.sin(x), source="sin(x)")
+        assert (g.partial_t, g.partial_x, g.partial_xx) == (None, None, None)
         spec = sl.ProblemSpec(drift=sl.constant_field(0.0), diffusion=sl.constant_field(1.0),
                               terminal_reward=g, horizon=1.0)
-        with pytest.raises(ReductionError, match="sin\\(x\\) declares no partial_t"):
+        with pytest.raises(ReductionError, match=r"terminal reward sin\(x\) is a callable field"):
             sl.reduce_to_running_reward(spec)
-        g = replace(g, partial_t=lambda t, x: 0.0 * x)
-        with pytest.raises(ReductionError, match="declares no partial_xx"):
-            sl.reduce_to_running_reward(replace(spec, terminal_reward=g))
+
+    def test_kinked_reward_takes_mean_slope(self):
+        # g = max(x, 0.5): g_x is 0, 1/2 and 1 at x = 0, 0.5 and 1, and g_xx
+        # folds to 0, so h = mu*g_x; the derivative holds the internal sign
+        # node and is never printed and parsed back
+        spec = _spec(drift="1 - t", terminal="max(x, 0.5)")
+        h = sl.reduce_to_running_reward(spec).running_reward
+        for t in (0.0, 0.3, 0.9):
+            mu = 1 - t
+            assert [float(h(t, x)) for x in (0.0, 0.5, 1.0)] == [0.0, mu / 2, mu]
+
