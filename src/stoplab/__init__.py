@@ -44,12 +44,8 @@ from .reports import CheckReport, FAIL, INCONCLUSIVE, PASS
 from .checks import (
     check_boundary_monotone,
     check_drift_curvature_balance,
-    check_drift_time_monotone,
-    check_reward_monotone_in_state,
-    check_running_reward_monotone,
     check_value_continuity,
     check_value_time_monotone,
-    classify_regions,
 )
 from .config import RunConfig, builtin_examples, load_config, save_config
 from .pipeline import run_problem, value_at

@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import ScalarField
 from .grids import Grid
 from .reports import CheckReport, FAIL, INCONCLUSIVE, PASS
 from .simulate import TOL_ZERO, LsmcValue, comparison_report
@@ -27,13 +26,14 @@ from .solver import (
     round_off,
     value_at,
 )
-from .problems import Orientation, ValidatedProblem, sample_rows
+from .problems import Orientation, ValidatedProblem
 
 EVERYWHERE = "everywhere"
 WHERE_DRIFT_NEGATIVE = "where_drift_negative"
 
 
 def _reward_x_monotone(rows: np.ndarray, grid: Grid) -> CheckReport:
+    """Is the reward nondecreasing in the state at every probed time?"""
     tol = round_off(rows)
     drops = rows[:, :-1] - rows[:, 1:]  # positive where the reward decreases
     worst = float(np.max(drops))
@@ -46,14 +46,14 @@ def _reward_x_monotone(rows: np.ndarray, grid: Grid) -> CheckReport:
                        f"reward decreases between x={grid.x_nodes[j]} and x={grid.x_nodes[j + 1]}")
 
 
-def check_reward_monotone_in_state(g: ScalarField, grid: Grid) -> CheckReport:
-    """Is the reward nondecreasing in the state at every probed time?"""
-    return _reward_x_monotone(sample_rows(g, grid), grid)
-
-
 def _drift_t_monotone(rows: np.ndarray, grid: Grid, scope: str) -> CheckReport:
-    if scope not in (EVERYWHERE, WHERE_DRIFT_NEGATIVE):
-        raise ValueError(f"unknown scope {scope!r}")
+    """Is the drift nonincreasing in time, everywhere or on its negative region?
+
+    In the region scope a pair (t_k, t_{k+1}) at fixed x counts only when the
+    later point has strictly negative drift, matching a hypothesis quantified
+    over the negative-drift region; the check is consecutive-pair, hence at
+    grid scale only.
+    """
     tol = round_off(rows)
     rises = rows[1:, :] - rows[:-1, :]  # positive where drift increases with t
     if scope == WHERE_DRIFT_NEGATIVE:
@@ -73,19 +73,8 @@ def _drift_t_monotone(rows: np.ndarray, grid: Grid, scope: str) -> CheckReport:
                        f"drift increases between t={grid.t_nodes[k]} and t={grid.t_nodes[k + 1]}")
 
 
-def check_drift_time_monotone(mu: ScalarField, grid: Grid,
-                              scope: str = EVERYWHERE) -> CheckReport:
-    """Is the drift nonincreasing in time, everywhere or on its negative region?
-
-    In the region scope a pair (t_k, t_{k+1}) at fixed x counts only when the
-    later point has strictly negative drift, matching a hypothesis quantified
-    over the negative-drift region; the check is consecutive-pair, hence at
-    grid scale only.
-    """
-    return _drift_t_monotone(sample_rows(mu, grid), grid, scope)
-
-
 def _running_monotone(rows: np.ndarray, grid: Grid) -> CheckReport:
+    """Nondecreasing in x and nonincreasing in t, as two sub-verdicts."""
     x_part = _reward_x_monotone(rows, grid)
     t_part = _drift_t_monotone(rows, grid, EVERYWHERE)
     worst = max((x_part, t_part), key=lambda r: r.worst_violation)  # a tie picks x_part
@@ -93,37 +82,6 @@ def _running_monotone(rows: np.ndarray, grid: Grid) -> CheckReport:
     return CheckReport("running_reward_monotone", verdict, worst.worst_violation,
                        worst.witness, worst.tolerance,
                        f"x-monotone: {x_part.verdict}, t-monotone: {t_part.verdict}")
-
-
-def check_running_reward_monotone(h: ScalarField, grid: Grid) -> CheckReport:
-    """Nondecreasing in x and nonincreasing in t, as two sub-verdicts."""
-    return _running_monotone(sample_rows(h, grid), grid)
-
-
-@dataclass(frozen=True)
-class RegionMasks:
-    """Node classification of a solved surface.
-
-    continuation/stopping partition the nodes, as do negative_drift and its
-    complement (drift >= 0 up to the zero threshold).
-    """
-
-    continuation: np.ndarray
-    stopping: np.ndarray
-    negative_drift: np.ndarray
-    nonnegative_drift: np.ndarray
-
-
-def classify_regions(surface: ValueSurface) -> RegionMasks:
-    mu = surface.problem.samples_on(surface.grid).mu
-    negative = mu < -TOL_ZERO
-    stopping = surface.exercise_mask
-    return RegionMasks(
-        continuation=~stopping,
-        stopping=stopping,
-        negative_drift=negative,
-        nonnegative_drift=~negative,
-    )
 
 
 def _near_mask_transition(mask: np.ndarray) -> np.ndarray:
@@ -151,10 +109,9 @@ def check_drift_curvature_balance(surface: ValueSurface) -> CheckReport:
     xs = grid.x_nodes
     dx = grid.dx
     v = surface.v
-    disc = surface.problem.samples_on(grid)
+    disc = surface.problem.disc
 
-    masks = classify_regions(surface)
-    eligible = masks.continuation & masks.nonnegative_drift
+    eligible = ~surface.exercise_mask & (disc.mu >= -TOL_ZERO)
     eligible &= ~_near_mask_transition(surface.exercise_mask)
     eligible[:, 0] = eligible[:, -1] = False  # need both x-neighbours
     if not eligible.any():
@@ -272,7 +229,7 @@ def check_value_continuity(surface: ValueSurface) -> CheckReport:
     v = surface.v
     # a node holds the largest jump landing on it from the left or from the step before;
     # a time jump counts beyond one step of transport (near a pole that spans many cells)
-    courant = np.abs(surface.problem.samples_on(grid).mu[:-1]) * grid.steps[:, None] / grid.dx
+    courant = np.abs(surface.problem.disc.mu[:-1]) * grid.steps[:, None] / grid.dx
     jumps = np.zeros_like(v)
     jumps[:, 1:] = np.abs(np.diff(v, axis=1))
     jumps[1:] = np.maximum(jumps[1:], np.abs(np.diff(v, axis=0)) / (1.0 + courant))
@@ -302,8 +259,9 @@ SIMULATION = "simulation"  # the coupled bundles or the LSMC estimate
 class CheckInputs:
     """What a registered check reads; a field-only run leaves the rest unset.
 
-    ``problem`` is sampled on the checked grid (the surface grid when there
-    is a surface).
+    Every check reads the coefficients from ``problem.disc``, the samples
+    that ``validate_problem`` took; a surface is solved on that same grid.
+    Run a check by name: ``CHECKS[name][1](CheckInputs(problem=...))``.
     """
 
     problem: ValidatedProblem

@@ -201,7 +201,10 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "num":
             self.advance()
-            return Num(float(text), pos=pos)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {text} is not finite", pos)
+            return Num(value, pos=pos)
         if kind == "ident":
             self.advance()
             if self.peek()[0] == "lparen":
@@ -454,9 +457,9 @@ def _prec(e: Expr) -> int:
 def to_string(e: Expr) -> str:
     """Print with minimal parentheses.
 
-    ``parse(to_string(e)) == e`` structurally for a parsed ``e`` with finite
-    numbers.  A ``diff`` result may hold the internal ``sign`` node, which
-    prints but does not parse back, so printed ASTs are for reading only.
+    ``parse(to_string(e)) == e`` structurally for a parsed ``e``.  A ``diff``
+    result may hold the internal ``sign`` node, which prints but does not
+    parse back, so printed ASTs are for reading only.
     """
     if isinstance(e, Num):
         return repr(e.value)

@@ -33,6 +33,7 @@ from .problems import (
 )
 from .reports import CheckReport
 from .simulate import (
+    PathBundle,
     everywhere_region,
     negative_drift_region,
     simulate_coupled,
@@ -65,7 +66,6 @@ class RunArtifacts:
     surface: ValueSurface
     boundary: Boundary
     reports: list[CheckReport]
-    warnings: tuple[str, ...]
     timings: dict[str, float] = field(default_factory=dict)
     files: dict[str, str] = field(default_factory=dict)
     lsmc: Optional[object] = None
@@ -180,7 +180,7 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
 
     couplings = []
     lsmc_result = None
-    bundles = {}
+    paths = None
     x0 = None
     if sim_cfg is not None:
         x0 = sim_cfg.lsmc_x if sim_cfg.lsmc_x is not None else \
@@ -198,9 +198,8 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
                                           sim_cfg.seed + i)
                     couplings.append(cb)
             if sim_cfg.dump_paths:
-                bundles["paths"] = simulate_paths(problem, sim_cfg.lsmc_t, x0,
-                                                  sim_cfg.n_paths, sim_cfg.n_steps,
-                                                  sim_cfg.seed)
+                paths = simulate_paths(problem, sim_cfg.lsmc_t, x0,
+                                       sim_cfg.n_paths, sim_cfg.n_steps, sim_cfg.seed)
             if sim_cfg.lsmc:
                 lsmc_result = value_lsmc(problem, sim_cfg.lsmc_t, x0,
                                          sim_cfg.n_paths, sim_cfg.n_steps,
@@ -223,7 +222,6 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
         surface=surface,
         boundary=boundary,
         reports=reports,
-        warnings=problem.warnings,
         timings=timings,
         lsmc=lsmc_result,
     )
@@ -231,7 +229,7 @@ def run_problem(cfg: RunConfig, out_dir: Optional[str] = None, refine: int = 0,
     directory = out_dir or cfg.output.directory
     if directory:
         with _stage(timings, "export"):
-            artifacts.files = export_artifacts(artifacts, directory, bundles)
+            artifacts.files = export_artifacts(artifacts, directory, paths)
     return artifacts
 
 
@@ -291,9 +289,9 @@ def export_surface(surface: ValueSurface, boundary: Boundary, directory: str) ->
     return paths
 
 
-def export_paths_csv(bundle, directory: str) -> str:
+def export_paths_csv(bundle: PathBundle, directory: str) -> str:
     path = os.path.join(directory, "paths.csv")
-    steps = [f"{k},{t}," for k, t in enumerate(_fmt_column(bundle.times()))]
+    steps = [f"{k},{t}," for k, t in enumerate(_fmt_column(bundle.t_nodes))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("path,step,time,state\n")
         for i in range(bundle.n_paths):
@@ -302,9 +300,11 @@ def export_paths_csv(bundle, directory: str) -> str:
     return path
 
 
-def export_artifacts(artifacts: RunArtifacts, directory: str, bundles=None) -> dict[str, str]:
+def export_artifacts(artifacts: RunArtifacts, directory: str,
+                     paths: Optional[PathBundle] = None) -> dict[str, str]:
     """Write every artifact, reports.json and summary.txt last: they carry the
-    export time spent before them (the CSVs and config.cfg)."""
+    export time spent before them (the CSVs and config.cfg).  ``paths``, when
+    given, is written to paths.csv."""
     t0 = time.perf_counter()
     os.makedirs(directory, exist_ok=True)
     files = export_surface(artifacts.surface, artifacts.boundary, directory)
@@ -314,9 +314,8 @@ def export_artifacts(artifacts: RunArtifacts, directory: str, bundles=None) -> d
         fh.write(save_config_text(artifacts.config))
     files["config"] = config_path
 
-    if bundles:
-        for bundle in bundles.values():
-            files["paths"] = export_paths_csv(bundle, directory)
+    if paths is not None:
+        files["paths"] = export_paths_csv(paths, directory)
     artifacts.timings["export"] = time.perf_counter() - t0
 
     report_doc = {
@@ -345,7 +344,7 @@ def summary_text(artifacts: RunArtifacts) -> str:
         f"theta={artifacts.surface.meta.theta}, "
         f"solver worst residual {artifacts.surface.meta.psor_worst_residual:.3g}",
     ]
-    for w in artifacts.warnings:
+    for w in artifacts.problem.warnings:
         lines.append(f"warning: {w}")
     finite = np.isfinite(artifacts.boundary.values)
     if finite.any():

@@ -71,7 +71,9 @@ class Discretization:
     ``mu``, ``g`` and ``f`` hold one row per time node (``f`` is None when
     there is no running reward); ``sigma`` is one row, the diffusion being
     t-free.  A time-independent field is a single row broadcast over t.
-    The solver, the residual check and the checkers all read these arrays.
+    ``validate_problem`` takes them, and they are the only samples: the
+    solver, the residual check and every registered check read these
+    arrays, and ``solve_backward`` refuses any grid but ``grid``.
     """
 
     grid: Grid
@@ -88,10 +90,6 @@ class ValidatedProblem:
     spec: ProblemSpec
     warnings: tuple[str, ...]
     disc: Discretization
-
-    def samples_on(self, grid: Grid) -> Discretization:
-        """The validated samples, or a fresh sampling when ``grid`` is another grid."""
-        return self.disc if grid is self.disc.grid else discretize(self.spec, grid)
 
 
 def sample_rows(field: ScalarField, grid: Grid) -> np.ndarray:
@@ -161,14 +159,14 @@ def validate_problem(spec: ProblemSpec, probe_grid: Grid) -> ValidatedProblem:
     return ValidatedProblem(spec=spec, warnings=tuple(warnings), disc=disc)
 
 
-def reflect_problem(problem: ValidatedProblem, spec: ProblemSpec, grid: Grid) -> ValidatedProblem:
+def reflect_problem(problem: ValidatedProblem, spec: ProblemSpec) -> ValidatedProblem:
     """A problem validated on the reflected axis, carried back to ``spec``'s axis.
 
-    The samples on ``grid`` are reflected, not sampled afresh: mu -> -mu(t, -x)
+    The validated samples are reflected, not sampled afresh: mu -> -mu(t, -x)
     and h -> h(t, -x) on the negated, reversed nodes equal a fresh sampling
     bit for bit.  The warnings are kept.
     """
-    d = problem.samples_on(grid)
+    d = problem.disc
     new_grid = replace(d.grid, t_nodes=d.grid.t_nodes.copy(),
                        x_nodes=(-d.grid.x_nodes[::-1]).copy())
     disc = Discretization(grid=new_grid, mu=-d.mu[:, ::-1], sigma=d.sigma[::-1],

@@ -76,9 +76,6 @@ class PathBundle:
         """The first step, the only one of a uniform bundle."""
         return float(self.steps[0])
 
-    def times(self) -> np.ndarray:
-        return self.t_nodes
-
 
 @dataclass(frozen=True)
 class Region:
@@ -342,7 +339,7 @@ def value_lsmc(problem: ValidatedProblem, t: float, x: float, n_paths: int,
     spec = problem.spec
     bundle = simulate_paths(problem, t, x, n_paths, n_steps, seed)
     rows = bundle.states.T   # step-major: rows[k] holds every path at node k
-    times = bundle.times()
+    times = bundle.t_nodes
     warnings: list[str] = []
     if bundle.poisoned.any():
         warnings.append(f"{int(bundle.poisoned.sum())} poisoned paths excluded from payoffs")

@@ -309,9 +309,12 @@ def solve_backward(problem: ValidatedProblem, grid: Grid, theta: float = 0.5) ->
     included, so v equals the obstacle on stop nodes and is at least the
     obstacle, to round-off, elsewhere.  The obstacle is the validated sample
     of the terminal reward.  The exercise mask is the stop set v <= obstacle,
-    read off v with no tolerance.
+    read off v with no tolerance.  ``grid`` must be the grid the problem was
+    validated on (``problem.disc.grid``); any other grid is a ValueError.
     """
-    disc = problem.samples_on(grid)
+    disc = problem.disc
+    if grid is not disc.grid:
+        raise ValueError("grid is not the one the problem was validated on (problem.disc.grid)")
     ts = grid.t_nodes
     psi = disc.g
 
@@ -378,7 +381,7 @@ def unflip_surface(surface: ValueSurface, original: ValidatedProblem) -> ValueSu
     reflected sample of g, a view that stays one broadcast row for a
     time-independent reward.
     """
-    problem = reflect_problem(surface.problem, original.spec, surface.grid)
+    problem = reflect_problem(surface.problem, original.spec)
     return ValueSurface(
         grid=problem.disc.grid,
         v=surface.v[:, ::-1].copy(),
@@ -418,7 +421,7 @@ def residual_complementarity(surface: ValueSurface):
 
     grid = surface.grid
     psi, v = surface.obstacle, surface.v
-    disc = surface.problem.samples_on(grid)
+    disc = surface.problem.disc
 
     worst, witness, scale = 0.0, None, 0.0
     for lo, hi, lower, diag, upper, rhs in _step_blocks(disc, surface.meta.theta):

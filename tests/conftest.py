@@ -6,6 +6,7 @@ import pytest
 
 import stoplab as sl
 from stoplab import exprs
+from stoplab.checks import CHECKS, CheckInputs
 from stoplab.problems import Orientation
 
 
@@ -103,3 +104,8 @@ def solve_small(spec, pad=5.0, n=100, x_ref=0.0, theta=0.5):
     grid = sl.build_grid(spec, pad, n, n, x_ref=x_ref)
     prob = sl.validate_problem(spec, grid)
     return sl.solve_backward(prob, grid, theta=theta)
+
+
+def run_check(name, spec, grid):
+    """Validate ``spec`` on ``grid`` and run the registered field check ``name``."""
+    return CHECKS[name][1](CheckInputs(problem=sl.validate_problem(spec, grid)))

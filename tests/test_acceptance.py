@@ -26,7 +26,7 @@ from stoplab.problems import Orientation, StateSpace
 from stoplab.reports import FAIL, PASS
 from stoplab.simulate import coupling_statistic, negative_drift_region
 from stoplab.solver import round_off
-from conftest import random_expr
+from conftest import random_expr, run_check
 
 
 def _ok(name, detail=""):
@@ -191,8 +191,8 @@ def test_criterion_4_monotone_drift_pipeline(n):
         prob = sl.validate_problem(spec, grid)
         surf = sl.solve_backward(prob, grid)
         boundary = sl.extract_boundary(surf)
-        assert ck.check_reward_monotone_in_state(spec.terminal_reward, grid).verdict == PASS
-        assert ck.check_drift_time_monotone(spec.drift, grid).verdict == PASS
+        assert run_check("reward_x_monotone", spec, grid).verdict == PASS
+        assert run_check("drift_time_monotone_everywhere", spec, grid).verdict == PASS
         assert ck.check_value_time_monotone(surf).verdict == PASS
         assert ck.check_boundary_monotone(boundary).verdict == PASS
     _ok(f"criterion 4 monotone-drift pipeline at {n}x{n}")
@@ -212,10 +212,8 @@ def test_criterion_5_bridge_exp_pipeline():
     surf = sl.unflip_surface(surf_lo, prob_up)
     boundary = sl.unflip_boundary(sl.extract_boundary(surf_lo))
 
-    region = ck.check_drift_time_monotone(spec_up.drift, grid_up,
-                                          scope=ck.WHERE_DRIFT_NEGATIVE)
-    everywhere = ck.check_drift_time_monotone(spec_up.drift, grid_up,
-                                              scope=ck.EVERYWHERE)
+    region = run_check("drift_time_monotone_where_drift_negative", spec_up, grid_up)
+    everywhere = run_check("drift_time_monotone_everywhere", spec_up, grid_up)
     curvature = ck.check_drift_curvature_balance(surf)
     value = ck.check_value_time_monotone(surf)
     bmono = ck.check_boundary_monotone(boundary)

@@ -10,6 +10,7 @@ from stoplab import checks as ck
 from stoplab.problems import Orientation
 from stoplab.reports import FAIL, INCONCLUSIVE, PASS
 from stoplab.solver import NEG_INF, POS_INF, Boundary, SchemeMeta, ValueSurface
+from conftest import run_check
 
 
 def _grid(t_end=1.0, lo=-5.0, hi=5.0, n=50):
@@ -18,6 +19,12 @@ def _grid(t_end=1.0, lo=-5.0, hi=5.0, n=50):
 
 def _field(text, horizon=1.0):
     return sl.from_expression(text, horizon)
+
+
+def _spec(drift="0", terminal="x", running=None):
+    return sl.ProblemSpec(drift=_field(drift), diffusion=sl.constant_field(1.0),
+                          terminal_reward=_field(terminal), horizon=1.0,
+                          running_reward=None if running is None else _field(running))
 
 
 def _surface_from_matrix(v, grid, obstacle=None, drift="1", sigma="1"):
@@ -36,53 +43,53 @@ def _surface_from_matrix(v, grid, obstacle=None, drift="1", sigma="1"):
 
 class TestRewardMonotone:
     def test_exponential_passes(self):
-        assert ck.check_reward_monotone_in_state(_field("exp(x)"), _grid()).verdict == PASS
+        assert run_check("reward_x_monotone", _spec(terminal="exp(x)"), _grid()).verdict == PASS
 
     def test_decreasing_fails_with_first_pair_witness(self):
-        r = ck.check_reward_monotone_in_state(_field("-x"), _grid())
+        r = run_check("reward_x_monotone", _spec(terminal="-x"), _grid())
         assert r.verdict == FAIL
         assert r.witness == (0.0, -5.0)
 
     def test_piecewise_flat_passes(self):
-        assert ck.check_reward_monotone_in_state(_field("max(x, 0)"), _grid()).verdict == PASS
+        assert run_check("reward_x_monotone", _spec(terminal="max(x, 0)"), _grid()).verdict == PASS
 
 
 class TestDriftTimeMonotone:
     def test_decreasing_everywhere_passes(self):
-        r = ck.check_drift_time_monotone(_field("1 - t"), _grid())
+        r = run_check("drift_time_monotone_everywhere", _spec(drift="1 - t"), _grid())
         assert r.verdict == PASS
 
     def test_increasing_fails(self):
-        r = ck.check_drift_time_monotone(_field("t"), _grid())
+        r = run_check("drift_time_monotone_everywhere", _spec(drift="t"), _grid())
         assert r.verdict == FAIL
 
     def test_bridge_region_vs_everywhere(self):
-        drift = sl.from_expression("(0.0 - x)/(T - t)", 1.0)
+        spec = _spec(drift="(0.0 - x)/(T - t)")
         grid = _grid(t_end=0.99)
-        region = ck.check_drift_time_monotone(drift, grid, scope=ck.WHERE_DRIFT_NEGATIVE)
-        everywhere = ck.check_drift_time_monotone(drift, grid, scope=ck.EVERYWHERE)
+        region = run_check("drift_time_monotone_where_drift_negative", spec, grid)
+        everywhere = run_check("drift_time_monotone_everywhere", spec, grid)
         assert region.verdict == PASS
         assert everywhere.verdict == FAIL
         assert everywhere.witness[1] < 0  # violations live at negative states
 
     def test_empty_region_inconclusive(self):
-        r = ck.check_drift_time_monotone(_field("1"), _grid(), scope=ck.WHERE_DRIFT_NEGATIVE)
+        r = run_check("drift_time_monotone_where_drift_negative", _spec(drift="1"), _grid())
         assert r.verdict == INCONCLUSIVE
 
 
 class TestRunningRewardMonotone:
     def test_time_decay_passes_both(self):
-        r = ck.check_running_reward_monotone(_field("1 - t"), _grid())
+        r = run_check("running_reward_monotone", _spec(running="1 - t"), _grid())
         assert r.verdict == PASS
         assert "x-monotone: PASS" in r.notes and "t-monotone: PASS" in r.notes
 
     def test_mixed_monotonicity_fails_in_t(self):
-        r = ck.check_running_reward_monotone(_field("x*t"), _grid())
+        r = run_check("running_reward_monotone", _spec(running="x*t"), _grid())
         assert r.verdict == FAIL
         assert "x-monotone: PASS" in r.notes and "t-monotone: FAIL" in r.notes
 
     def test_constant_passes(self):
-        assert ck.check_running_reward_monotone(_field("1"), _grid()).verdict == PASS
+        assert run_check("running_reward_monotone", _spec(running="1"), _grid()).verdict == PASS
 
 
 class TestCurvatureBalance:
@@ -210,48 +217,21 @@ class TestBoundaryMonotone:
             self._boundary(ok, orientation=Orientation.UPPER)).verdict == PASS
 
 
-class TestClassifyRegions:
+class TestExerciseMask:
+    """The solver's stop set, which the region checks read, on known regions."""
+
     def test_martingale_all_stopping(self):
-        spec = sl.ProblemSpec(drift=sl.constant_field(0.0), diffusion=sl.constant_field(1.0),
-                              terminal_reward=_field("x"), horizon=1.0)
+        spec = _spec()
         grid = sl.build_grid(spec, 5.0, 40, 40, x_ref=0.0)
         surf = sl.solve_backward(sl.validate_problem(spec, grid), grid)
-        masks = ck.classify_regions(surf)
-        assert masks.stopping.all()
-        assert not masks.continuation.any()
-        assert masks.nonnegative_drift.all()
+        assert surf.exercise_mask.all()
 
     def test_positive_drift_interior_continuation(self):
-        spec = sl.ProblemSpec(drift=sl.constant_field(0.5), diffusion=sl.constant_field(1.0),
-                              terminal_reward=_field("x"), horizon=1.0)
+        spec = _spec(drift="0.5")
         grid = sl.build_grid(spec, 5.0, 40, 40, x_ref=0.0)
         surf = sl.solve_backward(sl.validate_problem(spec, grid), grid)
-        masks = ck.classify_regions(surf)
-        assert masks.continuation[:-1, 1:-1].all()
-        assert masks.stopping[-1].all()
-
-    def test_bridge_negative_drift_region_is_positive_states(self):
-        spec = sl.ProblemSpec(
-            drift=sl.from_expression("(0.0 - x)/(T - t)", 1.0),
-            diffusion=sl.constant_field(1.0),
-            terminal_reward=_field("x"), horizon=1.0, pole_at_horizon=True,
-        )
-        grid = sl.build_grid(spec, 5.0, 40, 40, x_ref=0.0)
-        surf = sl.solve_backward(sl.validate_problem(spec, grid), grid)
-        masks = ck.classify_regions(surf)
-        xs = grid.x_nodes
-        expected = np.tile(xs > 0, (grid.nt + 1, 1))
-        assert np.array_equal(masks.negative_drift, expected)
-        assert np.array_equal(masks.nonnegative_drift, ~expected)
-
-    def test_partitions(self):
-        spec = sl.ProblemSpec(drift=_field("1 - t"), diffusion=sl.constant_field(1.0),
-                              terminal_reward=_field("x"), horizon=1.0)
-        grid = sl.build_grid(spec, 5.0, 30, 30, x_ref=0.0)
-        surf = sl.solve_backward(sl.validate_problem(spec, grid), grid)
-        masks = ck.classify_regions(surf)
-        assert np.array_equal(masks.continuation, ~masks.stopping)
-        assert np.array_equal(masks.nonnegative_drift, ~masks.negative_drift)
+        assert not surf.exercise_mask[:-1, 1:-1].any()
+        assert surf.exercise_mask[-1].all()
 
 
 class TestValueContinuity:
@@ -282,8 +262,8 @@ class TestTheoremPipelines:
         grid = sl.build_grid(spec, 5.0, 80, 80, x_ref=0.0)
         surf = sl.solve_backward(sl.validate_problem(spec, grid), grid)
         b = sl.extract_boundary(surf)
-        assert ck.check_reward_monotone_in_state(spec.terminal_reward, grid).verdict == PASS
-        assert ck.check_drift_time_monotone(spec.drift, grid).verdict == PASS
+        assert run_check("reward_x_monotone", spec, grid).verdict == PASS
+        assert run_check("drift_time_monotone_everywhere", spec, grid).verdict == PASS
         assert ck.check_value_time_monotone(surf).verdict == PASS
         assert ck.check_boundary_monotone(b).verdict == PASS
 
@@ -300,9 +280,9 @@ class TestTheoremPipelines:
         grid_up = sl.build_grid(spec_up, 4.0, 120, 120, x_ref=0.0)
         surf = sl.unflip_surface(surf_lo, sl.validate_problem(spec_up, grid_up))
         b = sl.unflip_boundary(sl.extract_boundary(surf_lo))
-        assert ck.check_reward_monotone_in_state(spec_up.terminal_reward, grid_up).verdict == PASS
-        assert ck.check_drift_time_monotone(spec_up.drift, grid_up,
-                                            scope=ck.WHERE_DRIFT_NEGATIVE).verdict == PASS
+        assert run_check("reward_x_monotone", spec_up, grid_up).verdict == PASS
+        assert run_check("drift_time_monotone_where_drift_negative",
+                         spec_up, grid_up).verdict == PASS
         assert ck.check_drift_curvature_balance(surf).verdict == PASS
         assert ck.check_value_time_monotone(surf).verdict == PASS
         assert ck.check_boundary_monotone(b).verdict == PASS
@@ -316,7 +296,7 @@ class TestTheoremPipelines:
         grid = sl.build_grid(reduced, 5.0, 80, 80, x_ref=0.0)
         surf = sl.solve_backward(sl.validate_problem(reduced, grid), grid)
         b = sl.extract_boundary(surf)
-        assert ck.check_running_reward_monotone(reduced.running_reward, grid).verdict == PASS
-        assert ck.check_drift_time_monotone(reduced.drift, grid).verdict == PASS
+        assert run_check("running_reward_monotone", reduced, grid).verdict == PASS
+        assert run_check("drift_time_monotone_everywhere", reduced, grid).verdict == PASS
         assert ck.check_value_time_monotone(surf).verdict == PASS
         assert ck.check_boundary_monotone(b).verdict == PASS

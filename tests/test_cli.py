@@ -476,7 +476,7 @@ def _cell_boundary_csv(boundary):
 
 
 def _cell_paths_csv(bundle):
-    times = bundle.times()
+    times = bundle.t_nodes
     out = "path,step,time,state\n"
     for i in range(bundle.n_paths):
         for k in range(bundle.n_steps + 1):

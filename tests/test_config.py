@@ -71,6 +71,11 @@ def test_non_finite_float_rejected(key, raw):
         loads_config(text)
 
 
+def test_non_finite_expression_literal_rejected():
+    with pytest.raises(ConfigError, match="key 'terminal': .*not finite"):
+        loads_config(MINIMAL.replace('terminal = "x"', 'terminal = "exp(-1e999)"'))
+
+
 def test_non_finite_coupling_rejected():
     with pytest.raises(ConfigError, match="key 'couplings': expected a finite number"):
         loads_config(MINIMAL.replace("seed = 42", "seed = 42\ncouplings = 0.25 nan 1.0"))

@@ -33,6 +33,16 @@ def test_syntax_error_offset():
     assert err.value.pos == 3
 
 
+def test_non_finite_literal_rejected_at_its_offset():
+    # 1e999 overflows to inf, which would print as "inf" and not parse back
+    with pytest.raises(exprs.ExprSyntaxError, match="not finite") as err:
+        exprs.parse("1e999*0 + x")
+    assert err.value.pos == 0
+    with pytest.raises(exprs.ExprSyntaxError) as err:
+        exprs.parse("exp(-1e999)")
+    assert err.value.pos == 5
+
+
 def test_unknown_identifier():
     with pytest.raises(exprs.UnknownIdentifierError) as err:
         exprs.parse("y + 1")

@@ -1,11 +1,17 @@
-"""Every script under scripts/ imports cleanly; each runs only under __main__."""
+"""Every script under scripts/ imports cleanly and runs only under __main__; the
+README's library example runs as written."""
 
 import importlib.util
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
-SCRIPTS = sorted((pathlib.Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_scripts_are_found():
@@ -18,3 +24,14 @@ def test_script_imports(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("verdict='PASS'") == 3

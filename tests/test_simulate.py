@@ -89,7 +89,7 @@ class TestSimulatePaths:
     def test_deterministic_line_when_sigma_zero(self):
         prob = _problem(drift="0.7", sigma="0")
         bundle = sl.simulate_paths(prob, 0.0, 1.0, 16, 32, seed=5)
-        times = bundle.times()
+        times = bundle.t_nodes
         expect = 1.0 + 0.7 * times
         np.testing.assert_allclose(bundle.states, np.tile(expect, (16, 1)), atol=1e-12)
 
@@ -200,7 +200,7 @@ class TestSimulatePaths:
         grid = sl.build_grid(spec, 5.0, 400, 20, x_ref=0.0)
         prob = sl.validate_problem(spec, grid)
         bundle = sl.simulate_paths(prob, 0.0, 0.0, 8, grid.nt, seed=1)
-        assert np.array_equal(bundle.times(), grid.t_nodes)
+        assert np.array_equal(bundle.t_nodes, grid.t_nodes)
         assert np.array_equal(bundle.steps, grid.steps)
 
     @pytest.mark.parametrize("n_paths, n_steps", [(4, 0), (0, 4)])
@@ -329,6 +329,12 @@ class TestRegionExit:
         path = np.ones(11)
         path[7:] = -1.0
         assert region_exit_time(path, region, 0.0, 0.1) == 7
+
+    def test_bridge_negative_drift_region_is_positive_states(self):
+        prob = _problem(drift="(0.0 - x)/(T - t)", pole_at_horizon=True)
+        tt, xx = np.meshgrid(prob.disc.grid.t_nodes, prob.disc.grid.x_nodes, indexing="ij")
+        inside = negative_drift_region(prob.spec.drift).indicator(tt, xx)
+        assert np.array_equal(inside, xx > 0)
 
 
 class TestCoupling:

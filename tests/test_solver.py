@@ -104,6 +104,15 @@ class TestSolveBackward:
         interior = surf.exercise_mask[:-1, 1:-1]
         assert not interior.any()
 
+    def test_grid_other_than_validated_rejected(self):
+        spec = _spec(drift="1 - t")
+        grid = sl.build_grid(spec, 5.0, 20, 20, x_ref=0.0)
+        prob = sl.validate_problem(spec, grid)
+        for other in (sl.build_grid(spec, 5.0, 40, 40, x_ref=0.0),
+                      sl.build_grid(spec, 5.0, 20, 20, x_ref=0.0)):  # equal nodes, not the same grid
+            with pytest.raises(ValueError, match="problem was validated on"):
+                sl.solve_backward(prob, other)
+
     def test_terminal_row_equals_obstacle_exactly(self):
         surf = _solve(_spec(drift="1 - t", terminal="exp(x)"), n=60)
         assert np.array_equal(surf.v[-1], surf.obstacle[-1])
